@@ -27,7 +27,7 @@
 //! On EOF/shutdown the daemon flushes and prints the cache summary (JSON
 //! with `--stats-json`) to stderr.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -202,11 +202,19 @@ fn main() -> ExitCode {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             stream.set_nonblocking(false).expect("blocking stream");
+                            // Replies are small and the client waits on
+                            // each one: send them at once rather than hold
+                            // them for Nagle's algorithm.
+                            let _ = stream.set_nodelay(true);
                             let daemon = Arc::clone(&daemon);
                             scope.spawn(move || {
                                 let reader =
                                     BufReader::new(stream.try_clone().expect("clone stream"));
-                                daemon.pump(reader, stream);
+                                // `pump` writes a reply and its newline
+                                // separately, then flushes: the buffer
+                                // joins them into one write (a reply past
+                                // its 8 KiB takes two, sent at once).
+                                daemon.pump(reader, BufWriter::new(stream));
                             });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

@@ -147,7 +147,12 @@ impl LoopNest {
 
     /// The NRA class of this nest, if at least one tensor is non-redundant.
     pub fn nra_class(&self, mm: MatMul) -> Option<NraClass> {
-        NraClass::from_count(self.nra_tensors(mm).len())
+        NraClass::from_count(
+            Operand::ALL
+                .iter()
+                .filter(|op| self.is_nra(mm, **op))
+                .count(),
+        )
     }
 }
 

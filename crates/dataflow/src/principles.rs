@@ -196,7 +196,7 @@ pub fn stationary_sweep(
     let [da, db] = stationary.dims();
     let dc = stationary.missing_dim();
     let mut best: Option<Dataflow> = None;
-    for t_a in crate::tiling::balanced_tiles(mm.dim(da)) {
+    for t_a in crate::tiling::balanced_tile_iter(mm.dim(da)) {
         if t_a + 1 >= bs {
             break; // no room left for T_b >= 1 (footprint T_b(T_a+1) + T_a)
         }
@@ -229,20 +229,19 @@ pub fn stationary_sweep(
 ///
 /// Returns `None` only when `bs < MIN_BUFFER_ELEMS`.
 pub fn try_optimize_with(model: &CostModel, mm: MatMul, bs: u64) -> Option<Dataflow> {
-    let candidates: Vec<Dataflow> = Operand::ALL
+    Operand::ALL
         .iter()
         .filter_map(|s| stationary_sweep(model, mm, bs, *s))
-        .collect();
-    candidates.into_iter().min_by(|x, y| {
-        x.total_ma()
-            .cmp(&y.total_ma())
-            .then_with(|| {
-                let nx = x.class().map_or(0, |c| c.count());
-                let ny = y.class().map_or(0, |c| c.count());
-                ny.cmp(&nx) // more NRA tensors first
-            })
-            .then_with(|| x.buffer_elems().cmp(&y.buffer_elems()))
-    })
+        .min_by(|x, y| {
+            x.total_ma()
+                .cmp(&y.total_ma())
+                .then_with(|| {
+                    let nx = x.class().map_or(0, |c| c.count());
+                    let ny = y.class().map_or(0, |c| c.count());
+                    ny.cmp(&nx) // more NRA tensors first
+                })
+                .then_with(|| x.buffer_elems().cmp(&y.buffer_elems()))
+        })
 }
 
 /// [`try_optimize_with`] under the paper's cost model.

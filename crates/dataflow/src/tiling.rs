@@ -25,20 +25,28 @@ pub(crate) fn div_ceil(a: u64, b: u64) -> u64 {
 /// assert_eq!(balanced_tiles(1), vec![1]);
 /// ```
 pub fn balanced_tiles(d: u64) -> Vec<u64> {
+    balanced_tile_iter(d).collect()
+}
+
+/// [`balanced_tiles`] generated on the fly, for sweeps that visit each
+/// representative once and must not allocate.
+///
+/// ```
+/// use fusecu_dataflow::tiling::{balanced_tile_iter, balanced_tiles};
+/// assert!(balanced_tile_iter(1000).eq(balanced_tiles(1000)));
+/// ```
+pub fn balanced_tile_iter(d: u64) -> impl Iterator<Item = u64> {
     assert!(d > 0, "dimension size must be non-zero");
-    let mut out = Vec::new();
-    let mut n = d; // iteration count, descending => tiles ascending
-    while n >= 1 {
-        let t = d.div_ceil(n);
-        out.push(t);
+    // Iteration count, descending => tiles ascending; `None` once the
+    // untiled representative has been produced.
+    let mut n = Some(d);
+    std::iter::from_fn(move || {
+        let t = d.div_ceil(n?);
         // Skip to the next iteration count that changes the tile.
         let same_tile_min_n = d.div_ceil(t);
-        if same_tile_min_n == 1 {
-            break;
-        }
-        n = same_tile_min_n - 1;
-    }
-    out
+        n = (same_tile_min_n > 1).then(|| same_tile_min_n - 1);
+        Some(t)
+    })
 }
 
 /// Tile sizes `(T_M, T_K, T_L)` held in the buffer for one matmul.

@@ -30,11 +30,11 @@ use std::sync::OnceLock;
 use fusecu_dataflow::memo::{CacheStats, MemoCache, SectionCounters};
 use fusecu_dataflow::principles::try_optimize_with;
 use fusecu_dataflow::{CostModel, Dataflow};
-use fusecu_ir::{MmDag, NodeId, OpGraph};
+use fusecu_ir::{MatMul, MmDag, NodeId, OpGraph};
 
 use crate::chain::{optimize_chain_cached, FusedChain, FusedChainDataflow};
 use crate::nest::FusedDataflow;
-use crate::optimizer::{try_decide, FusionDecision};
+use crate::optimizer::{optimize_pair_cached, try_decide, FusionDecision};
 use crate::pair::FusedPair;
 use crate::planner::{try_plan_chain_cached, ChainStep};
 
@@ -369,9 +369,10 @@ fn best_cover(config: &PlannerConfig, cands: &[&Candidate], n_mms: usize) -> Vec
 
 /// Scores one candidate path against its matmuls' solo optima, keeping it
 /// only when the fused execution strictly saves memory access. Depth-2
-/// paths go through the pair oracle and the Principle 4 profitability
-/// gate — exactly the historical matching weights — and deeper paths
-/// through the k-ary chain oracle.
+/// paths are priced by the pair oracle and deeper paths by the k-ary chain
+/// oracle; for a pair the strict-saving test against the two solo optima
+/// is Principle 4's profitability verdict, so the weights are exactly the
+/// historical matching weights.
 fn score_path(
     model: &CostModel,
     dag: &MmDag,
@@ -384,9 +385,7 @@ fn score_path(
     let solo_ma: u64 = path.iter().map(|&i| solo[i].total_ma()).sum();
     let (kind, fused_ma) = if path.len() == 2 {
         let pair = FusedPair::try_new(mms[path[0]].1, mms[path[1]].1).ok()?;
-        let fused = *try_decide(model, pair, bs)
-            .filter(FusionDecision::profitable)?
-            .fused()?;
+        let fused = optimize_pair_cached(model, pair, bs)?;
         let ma = fused.total_ma();
         (CoverKind::Pair(fused), ma)
     } else {
@@ -417,9 +416,19 @@ pub fn try_plan_dag_with(
     bs: u64,
 ) -> Option<GraphPlan> {
     let mms = dag.mms();
+    // Graphs repeat shapes (a layer's Q/K/V/output projections): solve each
+    // distinct shape once.
+    let mut solved: Vec<(MatMul, Dataflow)> = Vec::new();
     let solo: Vec<Dataflow> = mms
         .iter()
-        .map(|(_, mm, _)| try_optimize_with(model, *mm, bs))
+        .map(|&(_, mm, _)| {
+            if let Some(&(_, df)) = solved.iter().find(|(shape, _)| *shape == mm) {
+                return Some(df);
+            }
+            let df = try_optimize_with(model, mm, bs)?;
+            solved.push((mm, df));
+            Some(df)
+        })
         .collect::<Option<_>>()?;
 
     // Score every candidate path with the closed-form oracles; keep the

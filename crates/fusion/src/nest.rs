@@ -214,6 +214,28 @@ impl FusedNest {
         self.footprint(pair) <= bs
     }
 
+    /// [`FusedNest::footprint`] as a function of `T_L` over `T_L < L`,
+    /// with the other three tiles of this nest. While `L` still iterates
+    /// every persistence flag is fixed, and each tile is either constant
+    /// in `T_L` or proportional to it.
+    pub(crate) fn footprint_in_l(&self, pair: &FusedPair) -> FootprintInL {
+        let nest = FusedNest::new(self.outer_is_m, self.tiling.with(FusedDim::L, 1));
+        debug_assert!(!nest.tiling.is_untiled(pair, FusedDim::L), "L must iterate");
+        // Each line is `[base, slope]`; at T_L = 1 an L-spanning tile's
+        // size is its slope.
+        let mut persistent = [0, nest.tiling.intermediate_tile_elems(pair)];
+        let mut phases = [[0u64; 2]; 2]; // producer, consumer
+        for t in ExtTensor::ALL {
+            let line = if nest.is_persistent(pair, t) {
+                &mut persistent
+            } else {
+                &mut phases[usize::from(!t.is_producer())]
+            };
+            line[usize::from(t.contains(FusedDim::L))] += nest.tiling.tensor_tile_elems(pair, t);
+        }
+        FootprintInL { persistent, phases }
+    }
+
     /// Number of non-redundantly-accessed tensors per operator, counting
     /// the memory-silent intermediate for both (it is trivially
     /// non-redundant). Used to attribute a Fig 4 NRA pattern to each side.
@@ -223,6 +245,38 @@ impl FusedNest {
             1 + nra(ExtTensor::A) + nra(ExtTensor::B),
             1 + nra(ExtTensor::D) + nra(ExtTensor::E),
         )
+    }
+}
+
+/// The buffer footprint of a fused nest as a function of `T_L` while `L`
+/// iterates: `p(T_L) + max(q₀(T_L), q₁(T_L))`, where `p` covers the
+/// intermediate and the persistent tiles and `q₀`, `q₁` the producer's
+/// and consumer's transient tiles, each a line `base + slope·T_L` with
+/// nonnegative coefficients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FootprintInL {
+    persistent: [u64; 2],
+    phases: [[u64; 2]; 2],
+}
+
+impl FootprintInL {
+    /// The footprint at `T_L = t_l`.
+    #[cfg(test)]
+    pub(crate) fn at(&self, t_l: u64) -> u64 {
+        let line = |[base, slope]: [u64; 2]| base + slope * t_l;
+        line(self.persistent) + line(self.phases[0]).max(line(self.phases[1]))
+    }
+
+    /// The largest `T_L ≥ 1` whose footprint fits `bs` elements, or
+    /// `None` when even `T_L = 1` does not fit: `min_j ⌊(bs − bⱼ)/sⱼ⌋`
+    /// over the two phase lines added to the persistent one. The slope is
+    /// at least `T_M ≥ 1` (the intermediate tile), so the division is
+    /// defined.
+    pub(crate) fn max_fitting(&self, bs: u64) -> Option<u64> {
+        let [base, slope] = self.persistent;
+        let fit = |[b, s]: [u64; 2]| bs.checked_sub(base + b).map(|room| room / (slope + s));
+        let t_l = fit(self.phases[0])?.min(fit(self.phases[1])?);
+        (t_l >= 1).then_some(t_l)
     }
 }
 
@@ -461,6 +515,32 @@ mod tests {
         let trans1 = 64; // B tile (64x1)
         let trans2 = 64; // D tile (1x64)
         assert_eq!(nest.footprint(&p), c + pers + trans1.max(trans2));
+    }
+
+    #[test]
+    fn footprint_in_l_is_the_footprint_below_l() {
+        let pairs = [pair(7, 5, 9, 4), pair(12, 1, 4, 10), pair(5, 13, 3, 1)];
+        for p in pairs {
+            for outer_is_m in [true, false] {
+                for tm in [1, 2, 5, 12] {
+                    for tk in [1, 3, 13] {
+                        for tn in [1, 3, 10] {
+                            let nest = FusedNest::new(outer_is_m, FusedTiling::new(tm, tk, 1, tn));
+                            let line = nest.footprint_in_l(&p);
+                            for tl in 1..p.dim(FusedDim::L) {
+                                let at =
+                                    FusedNest::new(outer_is_m, nest.tiling.with(FusedDim::L, tl));
+                                assert_eq!(line.at(tl), at.footprint(&p), "pair={p} nest={at}");
+                                for bs in [line.at(tl) - 1, line.at(tl)] {
+                                    let fits = line.max_fitting(bs).is_some_and(|t| t >= tl);
+                                    assert_eq!(fits, at.fits(&p, bs), "pair={p} nest={at} bs={bs}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,18 +6,22 @@
 //! both shared dimensions untiled), each crossed with the two binary phase
 //! tilings (`T_K ∈ {1, K}`, `T_N ∈ {1, N}` — intermediate values only waste
 //! buffer, since producer/consumer traffic depends solely on whether the
-//! phase loop is untiled). The only remaining free scalar per policy is the
-//! shared tile edge, maximized by bisection on the monotone buffer
+//! phase loop is untiled). The only remaining free scalars per policy are
+//! the shared tile edges: `T_M` runs over its balanced representatives and
+//! the largest `T_L` that fits is solved in closed form from the buffer
 //! footprint.
 //!
 //! [`decide`] compares the fused optimum with the sum of the per-operator
 //! optima and reports **Principle 4**'s prediction: fusion is profitable
 //! exactly when both operators' optimal intra-dataflows share an NRA class.
+//! The planners apply the same profitability test against the solo optima
+//! they already hold, pricing each pair with [`optimize_pair_cached`].
 
 use std::sync::OnceLock;
 
 use fusecu_dataflow::memo::{CacheStats, MemoCache, SectionCounters};
 use fusecu_dataflow::principles::try_optimize_with;
+use fusecu_dataflow::tiling::balanced_tile_iter;
 use fusecu_dataflow::{CostModel, NraClass};
 
 use crate::nest::{FusedDataflow, FusedNest, FusedTiling};
@@ -52,64 +56,91 @@ pub(crate) fn balance(dim_size: u64, tile: u64) -> u64 {
     dim_size.div_ceil(dim_size.div_ceil(t))
 }
 
+/// The largest `T_L ∈ [1, L]` at which `nest` (its own `T_L` ignored)
+/// fits `bs` elements, or `None` when even `T_L = 1` does not fit.
+///
+/// Solved, not searched: the untiled `T_L = L` is tested directly, and
+/// below `L` the footprint is a fixed max of two lines in `T_L`
+/// ([`FusedNest::footprint_in_l`]) whose largest fitting value has a
+/// closed form. Feasibility is monotone over `T_L < L`, so this is the
+/// answer a bisection over `[1, L]` finds; the untiled boundary may fit
+/// with a smaller footprint than `T_L = L − 1` (a persistent tile stops
+/// being charged), which is why it is tested on its own.
+fn max_tile_l(pair: &FusedPair, nest: FusedNest, bs: u64) -> Option<u64> {
+    let l = pair.dim(FusedDim::L);
+    let at = |t_l| FusedNest::new(nest.outer_is_m, nest.tiling.with(FusedDim::L, t_l));
+    if l == 1 {
+        return at(1).fits(pair, bs).then_some(1);
+    }
+    let below_l = at(1).footprint_in_l(pair).max_fitting(bs)?;
+    Some(if at(l).fits(pair, bs) {
+        l
+    } else {
+        below_l.min(l - 1)
+    })
+}
+
+/// Hands every closed-form fused candidate that fits the buffer to `f`
+/// without allocating; [`candidates`] collects them.
+fn for_each_candidate(
+    model: &CostModel,
+    pair: FusedPair,
+    bs: u64,
+    mut f: impl FnMut(FusedDataflow),
+) {
+    let k = pair.dim(FusedDim::K);
+    let n = pair.dim(FusedDim::N);
+    let l = pair.dim(FusedDim::L);
+    for outer_is_m in [true, false] {
+        for t_k in [1, k] {
+            for t_n in [1, n] {
+                for t_m in balanced_tile_iter(pair.dim(FusedDim::M)) {
+                    let nest = FusedNest::new(outer_is_m, FusedTiling::new(t_m, t_k, 1, t_n));
+                    // Footprint is nondecreasing in T_M; once even T_L = 1
+                    // fails, larger T_M cannot recover.
+                    let Some(t_l) = max_tile_l(&pair, nest, bs) else {
+                        break;
+                    };
+                    let tiling = nest.tiling.with(FusedDim::L, balance(l, t_l));
+                    let nest = FusedNest::new(outer_is_m, tiling);
+                    debug_assert!(nest.fits(&pair, bs));
+                    f(FusedDataflow::score(model, pair, nest));
+                }
+            }
+        }
+    }
+}
+
 /// Every closed-form fused candidate that fits the buffer.
 ///
 /// Structure is enumerated exactly (two shared-loop orders, the two useful
 /// phase tilings each for `K` and `N`); the intermediate-tile split is
 /// swept losslessly: `T_M` runs over its balanced representatives and the
-/// maximal feasible `T_L` is derived by bisection on the monotone buffer
-/// footprint. Any optimal `(T_M, T_L)` is dominated by the candidate at
-/// `T_M`'s representative (same `M` iteration count, no larger footprint)
-/// with the derived `T_L` (memory access is non-increasing in `T_L`), so
-/// the family contains the fused optimum — which `fusecu-search`'s fused
-/// oracle confirms by enumeration.
+/// maximal feasible `T_L` is solved in closed form from the buffer
+/// footprint, which is linear in `T_L` in each phase while `L` iterates.
+/// Any optimal `(T_M, T_L)` is dominated by the candidate at `T_M`'s
+/// representative (same `M` iteration count, no larger footprint) with the
+/// derived `T_L` (memory access is non-increasing in `T_L`), so the family
+/// contains the fused optimum — which `fusecu-search`'s fused oracle
+/// confirms by enumeration.
 pub fn candidates(model: &CostModel, pair: FusedPair, bs: u64) -> Vec<FusedDataflow> {
-    let k = pair.dim(FusedDim::K);
-    let n = pair.dim(FusedDim::N);
-    let l = pair.dim(FusedDim::L);
     let mut out = Vec::new();
-    for outer_is_m in [true, false] {
-        for t_k in [1, k] {
-            for t_n in [1, n] {
-                for t_m in fusecu_dataflow::tiling::balanced_tiles(pair.dim(FusedDim::M)) {
-                    let build = |t_l: u64| {
-                        FusedNest::new(outer_is_m, FusedTiling::new(t_m, t_k, t_l, t_n))
-                    };
-                    // Footprint is nondecreasing in T_M; once even T_L = 1
-                    // fails, larger T_M cannot recover.
-                    if !build(1).fits(&pair, bs) {
-                        break;
-                    }
-                    let t_l = max_feasible(l, |t_l| build(t_l).fits(&pair, bs))
-                        .expect("T_L = 1 verified feasible above");
-                    let nest = build(balance(l, t_l));
-                    debug_assert!(nest.fits(&pair, bs));
-                    out.push(FusedDataflow::score(model, pair, nest));
-                    // The footprint can dip at the untiled boundary (a
-                    // persistent tensor stops being double-counted), making
-                    // the feasible T_L set non-contiguous; probe T_L = L
-                    // explicitly so bisection cannot miss it.
-                    if t_l < l {
-                        let full = build(l);
-                        if full.fits(&pair, bs) {
-                            out.push(FusedDataflow::score(model, pair, full));
-                        }
-                    }
-                }
-            }
-        }
-    }
+    for_each_candidate(model, pair, bs, |c| out.push(c));
     out
 }
 
 /// The closed-form fused optimum for a pair, or `None` when no fused
-/// dataflow fits the buffer.
+/// dataflow fits the buffer. Ties on memory access go to the smaller
+/// footprint, then to the earlier candidate.
 pub fn optimize_pair(model: &CostModel, pair: FusedPair, bs: u64) -> Option<FusedDataflow> {
-    candidates(model, pair, bs).into_iter().min_by(|x, y| {
-        x.total_ma()
-            .cmp(&y.total_ma())
-            .then_with(|| x.footprint().cmp(&y.footprint()))
-    })
+    let key = |c: &FusedDataflow| (c.total_ma(), c.footprint());
+    let mut best: Option<FusedDataflow> = None;
+    for_each_candidate(model, pair, bs, |c| {
+        if best.is_none_or(|b| key(&c) < key(&b)) {
+            best = Some(c);
+        }
+    });
+    best
 }
 
 /// The memoization key of one fused-pair optimization: everything the
@@ -239,6 +270,12 @@ impl FusionDecision {
 /// small to hold even a unit tile per operand (`bs < 3`), since then
 /// neither fused nor unfused execution is definable — callers fall back to
 /// whatever plan the surrounding level has, typically unfused.
+///
+/// This is the pair-level Principle 4 report (NRA classes included). The
+/// chain and graph planners do not call it: they already hold both solo
+/// optima and compare [`optimize_pair_cached`] against them directly,
+/// which is the same [`FusionDecision::profitable`] test without solving
+/// the two operators again.
 pub fn try_decide(model: &CostModel, pair: FusedPair, bs: u64) -> Option<FusionDecision> {
     let p_opt = try_optimize_with(model, pair.producer(), bs)?;
     let c_opt = try_optimize_with(model, pair.consumer(), bs)?;
@@ -283,6 +320,68 @@ mod tests {
         assert_eq!(max_feasible(10, |s| s <= 10), Some(10));
         assert_eq!(max_feasible(10, |_| false), None);
         assert_eq!(max_feasible(1, |s| s == 1), Some(1));
+    }
+
+    /// The candidate list as it was derived before the closed form: the
+    /// largest fitting `T_L` by bisection over `[1, L]` per balanced
+    /// `T_M`, followed by an explicit probe of the untiled `T_L = L`.
+    fn bisection_candidates(model: &CostModel, pair: FusedPair, bs: u64) -> Vec<FusedDataflow> {
+        let k = pair.dim(FusedDim::K);
+        let n = pair.dim(FusedDim::N);
+        let l = pair.dim(FusedDim::L);
+        let mut out = Vec::new();
+        for outer_is_m in [true, false] {
+            for t_k in [1, k] {
+                for t_n in [1, n] {
+                    for t_m in fusecu_dataflow::tiling::balanced_tiles(pair.dim(FusedDim::M)) {
+                        let build = |t_l: u64| {
+                            FusedNest::new(outer_is_m, FusedTiling::new(t_m, t_k, t_l, t_n))
+                        };
+                        if !build(1).fits(&pair, bs) {
+                            break;
+                        }
+                        let t_l = max_feasible(l, |t_l| build(t_l).fits(&pair, bs)).unwrap();
+                        out.push(FusedDataflow::score(model, pair, build(balance(l, t_l))));
+                        if t_l < l && build(l).fits(&pair, bs) {
+                            out.push(FusedDataflow::score(model, pair, build(l)));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn closed_form_t_l_matches_bisection() {
+        // Unit dimensions, the three- to five-element buffers where only
+        // unit tiles fit, and buffers past the whole pair's footprint. The
+        // phase dimensions K and N only enter as {1, full}, so they need
+        // fewer sizes than the swept M and the solved L.
+        const SHARED: [u64; 6] = [1, 2, 3, 7, 16, 61];
+        const PHASE: [u64; 3] = [1, 3, 61];
+        let mut compared = 0;
+        for model in [CostModel::paper(), CostModel::read_write()] {
+            for [m, k, l, n] in SHARED.iter().flat_map(|&m| {
+                PHASE.iter().flat_map(move |&k| {
+                    SHARED
+                        .iter()
+                        .flat_map(move |&l| PHASE.iter().map(move |&n| [m, k, l, n]))
+                })
+            }) {
+                let p = pair(m, k, l, n);
+                let whole = p.external_ideal_ma() + p.intermediate_elems();
+                for bs in [3, 4, 5, 9, 40, 300, 2_500, whole, whole + 1, 1 << 40] {
+                    let want = bisection_candidates(&model, p, bs);
+                    assert_eq!(candidates(&model, p, bs), want, "{p} bs={bs} {model:?}");
+                    compared += want.len();
+                }
+            }
+        }
+        assert!(
+            compared > 100_000,
+            "sweep compared only {compared} candidates"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use fusecu_dataflow::{CostModel, Dataflow};
 use fusecu_ir::MmChain;
 
 use crate::nest::FusedDataflow;
-use crate::optimizer::{try_decide, FusionDecision};
+use crate::optimizer::optimize_pair_cached;
 use crate::pair::FusedPair;
 
 /// One step of a chain plan.
@@ -136,11 +136,11 @@ pub fn try_plan_chain(model: &CostModel, chain: &MmChain, bs: u64) -> Option<Cha
         .map(|i| {
             let pair = FusedPair::try_new(chain.mm(i), chain.mm(i + 1))
                 .expect("chain invariant guarantees pair shapes");
-            // An undecidable or unprofitable pair simply never fuses; the
-            // DP below falls back to the solo plans.
-            try_decide(model, pair, bs)
-                .filter(FusionDecision::profitable)
-                .and_then(|d| d.fused().copied())
+            // Principle 4's profitability test against the solo optima at
+            // hand: a pair that does not fit or does not strictly save
+            // simply never fuses, and the DP below keeps the solo plans.
+            let unfused_ma = solo[i].total_ma() + solo[i + 1].total_ma();
+            optimize_pair_cached(model, pair, bs).filter(|f| f.total_ma() < unfused_ma)
         })
         .collect();
 
