@@ -30,7 +30,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -50,6 +50,10 @@ fn arg_u64(name: &str, default: u64) -> u64 {
         .map(|v| v.parse().unwrap_or_else(|_| die(name)))
         .unwrap_or(default)
 }
+
+/// Bytes of ready replies coalesced into one write before it is sent
+/// regardless; bounds the writer's memory when replies never stop coming.
+const REPLY_BUFFER: usize = 64 * 1024;
 
 fn die(flag: &str) -> ! {
     eprintln!("fusecu-serve: bad value for {flag}");
@@ -99,39 +103,87 @@ impl Daemon {
     /// lines to `output` in request order while keeping requests pipelined
     /// through the batcher. Returns when the client closes or shutdown is
     /// requested.
-    fn pump(&self, input: impl BufRead, mut output: impl Write + Send) {
-        // In-order reply queue: the reader pushes one receiver per
-        // request, the writer drains them in sequence.
-        let (pending_tx, pending_rx) = channel::<Receiver<String>>();
+    ///
+    /// Every batched request of the client carries a clone of one reply
+    /// sender, and its replies arrive on that one stream in request order:
+    /// the client's lines enter the batcher's FIFO queue in request order,
+    /// a batch sends its replies in submission order, and the next batch
+    /// starts only after that. So the in-order queue holds, per line,
+    /// either "the next reply on the stream" or an admin reply answered
+    /// inline.
+    fn pump(&self, input: impl BufRead, output: impl Write + Send) {
+        let (pending_tx, pending_rx) = channel::<Pending>();
+        let (reply_tx, reply_rx) = channel::<String>();
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for rx in pending_rx {
-                    let Ok(resp) = rx.recv() else { continue };
-                    if writeln!(output, "{resp}").is_err() || output.flush().is_err() {
-                        return;
-                    }
-                }
-            });
+            scope.spawn(move || write_replies(&pending_rx, &reply_rx, output));
             for line in input.lines() {
                 let Ok(line) = line else { break };
                 if line.trim().is_empty() {
                     continue;
                 }
-                let (tx, rx) = channel();
-                if let Some(resp) = self.try_admin(&line) {
-                    let _ = tx.send(resp);
-                } else if self.sink.send(Submission { line, reply: tx }).is_err() {
-                    break;
-                }
-                if pending_tx.send(rx).is_err() {
+                let pending = match self.try_admin(&line) {
+                    Some(resp) => Pending::Admin(resp),
+                    None => {
+                        let reply = reply_tx.clone();
+                        if self.sink.send(Submission { line, reply }).is_err() {
+                            break;
+                        }
+                        Pending::Batched
+                    }
+                };
+                if pending_tx.send(pending).is_err() {
                     break;
                 }
                 if self.quit.load(Ordering::SeqCst) {
                     break;
                 }
             }
+            // Closing both queues lets the writer finish what is pending
+            // and return, even if the batcher is gone.
             drop(pending_tx);
+            drop(reply_tx);
         });
+    }
+}
+
+/// What the writer emits next for one request line.
+enum Pending {
+    /// The next reply on the client's reply stream.
+    Batched,
+    /// An admin reply, answered when its line was read.
+    Admin(String),
+}
+
+/// Writes one client's replies in request order. Replies that are already
+/// answered are coalesced into one buffered write; the buffer is flushed
+/// before every blocking wait, so a ready reply is never held back.
+fn write_replies(pending: &Receiver<Pending>, replies: &Receiver<String>, output: impl Write) {
+    let mut out = BufWriter::with_capacity(REPLY_BUFFER, output);
+    while let Some(item) = next_or_flush(pending, &mut out) {
+        let reply = match item {
+            Pending::Admin(reply) => reply,
+            Pending::Batched => match next_or_flush(replies, &mut out) {
+                Some(reply) => reply,
+                None => break,
+            },
+        };
+        if out.write_all(reply.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
+            return;
+        }
+    }
+    let _ = out.flush();
+}
+
+/// The next message on `rx` if one is ready; otherwise flushes `out` and
+/// blocks for it. `None` once `rx` is closed or the flush fails.
+fn next_or_flush<T>(rx: &Receiver<T>, out: &mut impl Write) -> Option<T> {
+    match rx.try_recv() {
+        Ok(item) => Some(item),
+        Err(TryRecvError::Disconnected) => None,
+        Err(TryRecvError::Empty) => {
+            out.flush().ok()?;
+            rx.recv().ok()
+        }
     }
 }
 
@@ -202,19 +254,16 @@ fn main() -> ExitCode {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             stream.set_nonblocking(false).expect("blocking stream");
-                            // Replies are small and the client waits on
-                            // each one: send them at once rather than hold
-                            // them for Nagle's algorithm.
+                            // `pump` coalesces ready replies into one
+                            // write and flushes before it waits: what it
+                            // flushes must leave at once, not wait for
+                            // Nagle's algorithm and the peer's delayed ACK.
                             let _ = stream.set_nodelay(true);
                             let daemon = Arc::clone(&daemon);
                             scope.spawn(move || {
                                 let reader =
                                     BufReader::new(stream.try_clone().expect("clone stream"));
-                                // `pump` writes a reply and its newline
-                                // separately, then flushes: the buffer
-                                // joins them into one write (a reply past
-                                // its 8 KiB takes two, sent at once).
-                                daemon.pump(reader, BufWriter::new(stream));
+                                daemon.pump(reader, stream);
                             });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

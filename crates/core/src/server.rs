@@ -31,18 +31,32 @@
 //! ```
 //!
 //! A malformed line never kills the daemon — it produces `<id> err
-//! <code>` (or `- err <code>` when even the id is missing). Responses are
-//! deterministic: the same request line always yields the same response
-//! bytes, whether answered serially, in a batch, or from the warm cache.
+//! <code>` (or `- err <code>` when even the id is missing). A request
+//! whose total work `Σ count·m·k·l` over its matmuls exceeds [`MAX_WORK`]
+//! is refused with `err too-large`, which keeps every memory-access sum a
+//! planner forms far inside `u64`. A query whose evaluation panics is
+//! answered `<id> err internal` on every line that asked it; the other
+//! queries of its batch are still answered and the daemon keeps serving.
+//! Responses are deterministic: the same request line always yields the
+//! same response bytes, whether answered serially, in a batch, or from the
+//! warm cache.
 //!
 //! ## Batching and deduplication
 //!
 //! [`run_batch_loop`] coalesces requests arriving within a window into
-//! one batch, deduplicates them on their canonical encoding (the request
-//! line minus the id), computes each distinct query once through the
-//! parallel engine, and fans the answers back out — N identical in-flight
-//! queries cost one computation *and* one cache insertion.
+//! one batch, deduplicates them on the parsed [`Request`] (two bodies
+//! parse to equal requests exactly when their canonical encodings are
+//! equal, since [`Request::canonical`] prints every field), computes each
+//! distinct query once through the parallel engine, and fans the answers
+//! back out in submission order — N identical in-flight queries cost one
+//! computation *and* one cache insertion. Because replies leave in
+//! submission order and one batch is answered before the next starts, a
+//! client may clone one reply [`Sender`] into all of its submissions and
+//! read its replies back in request order: the `serve` binary keeps one
+//! such reply stream per client.
 
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -62,9 +76,19 @@ pub const MAX_GRAPH_LINKS: usize = 256;
 pub const MAX_DIM: u64 = 1 << 24;
 /// Largest accepted buffer size in elements.
 pub const MAX_BUFFER: u64 = 1 << 40;
+/// Largest accepted total work of one request, `Σ count·m·k·l` over its
+/// matmuls (a count of 1 outside `plan-graph`). [`MAX_DIM`] alone admits
+/// `m·k·l` up to 2^72, but costs are `u64` element counts: any nest's
+/// memory access is below `4·m·k·l`, so under this cap every sum a planner
+/// forms stays at least 2^14 below `u64::MAX`. LLaMA2's prefill graph, the
+/// largest zoo query, is about 2^43.5.
+pub const MAX_WORK: u64 = 1 << 48;
 
 /// A parsed, validated request body (everything after the id token).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality (and the hash batches deduplicate on) is exactly equality of
+/// [`Request::canonical`]: every field of every variant is printed there.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Request {
     /// Liveness probe; answered without touching the optimizer.
     Ping,
@@ -126,7 +150,8 @@ pub enum ParseError {
     BadChain,
     /// Graph nodes/links violate a DAG invariant.
     BadGraph,
-    /// A size field exceeded the protocol limit.
+    /// A size field, or the request's total work, exceeded the protocol
+    /// limit.
     TooLarge,
 }
 
@@ -312,12 +337,32 @@ impl Request {
         if toks.next().is_some() {
             return Err(ParseError::BadToken);
         }
+        if req.work() > u128::from(MAX_WORK) {
+            return Err(ParseError::TooLarge);
+        }
         Ok(req)
     }
 
+    /// `Σ count·m·k·l` over the request's matmuls, exact: dimensions and
+    /// counts are at most 2^24 and there are at most 64 matmuls.
+    fn work(&self) -> u128 {
+        let mkl = |mm: &MatMul| u128::from(mm.m()) * u128::from(mm.k()) * u128::from(mm.l());
+        match self {
+            Request::Ping => 0,
+            Request::OptimizeOp { mm, .. } | Request::Score { mm, .. } => mkl(mm),
+            Request::PlanChain { chain, .. } => chain.mms().iter().map(mkl).sum(),
+            Request::PlanGraph { dag, .. } => dag
+                .mms()
+                .iter()
+                .map(|(_, mm, count)| mkl(mm) * u128::from(*count))
+                .sum(),
+        }
+    }
+
     /// The canonical wire encoding of the body — what [`Request::parse`]
-    /// round-trips to, and the key batches deduplicate on. Two lines with
-    /// different ids but the same canonical body are the same query.
+    /// round-trips to. Two lines with different ids but the same canonical
+    /// body are the same query: they parse to equal requests, which is
+    /// what batches deduplicate on.
     pub fn canonical(&self) -> String {
         use std::fmt::Write as _;
         match self {
@@ -473,101 +518,100 @@ impl Server {
     /// reference path batches must match byte-for-byte.
     pub fn answer_line(&self, line: &str) -> String {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        match self.parse_line(line) {
+            Ok((id, req)) => {
+                self.stats.computed.fetch_add(1, Ordering::Relaxed);
+                format!("{id} {}", isolated(|req| self.eval(req), &req))
+            }
+            Err(reply) => reply,
+        }
+    }
+
+    /// Splits a raw line into its id and parsed body, or returns the `err`
+    /// reply for it (counted as a parse error).
+    fn parse_line<'a>(&self, line: &'a str) -> Result<(&'a str, Request), String> {
         let trimmed = line.trim();
         let (id, body) = match trimmed.split_once(char::is_whitespace) {
             Some((id, body)) => (id, body),
             None if trimmed.is_empty() => {
                 self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                return "- err empty".to_string();
+                return Err("- err empty".to_string());
             }
             // A lone token: treat it as an id with an empty body.
             None => (trimmed, ""),
         };
-        match Request::parse(body) {
-            Ok(req) => {
-                self.stats.computed.fetch_add(1, Ordering::Relaxed);
-                format!("{id} {}", self.eval(&req))
-            }
-            Err(e) => {
-                self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                format!("{id} err {}", e.code())
-            }
-        }
+        Request::parse(body).map(|req| (id, req)).map_err(|e| {
+            self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+            format!("{id} err {}", e.code())
+        })
     }
 
-    /// Answers a batch of raw request lines, deduplicating on the
-    /// canonical body so N identical in-flight queries cost one
-    /// computation. Responses are positionally aligned with `lines` and
-    /// byte-identical to answering each line through
-    /// [`Server::answer_line`].
+    /// Answers a batch of raw request lines, deduplicating on the parsed
+    /// request so N identical in-flight queries cost one computation.
+    /// Responses are positionally aligned with `lines` and byte-identical
+    /// to answering each line through [`Server::answer_line`].
     pub fn answer_batch(&self, lines: &[String]) -> Vec<String> {
+        self.answer_batch_with(lines, |req| self.eval(req))
+    }
+
+    /// [`Server::answer_batch`] with each distinct query evaluated by
+    /// `eval`.
+    fn answer_batch_with(
+        &self,
+        lines: &[String],
+        eval: impl Fn(&Request) -> String + Sync,
+    ) -> Vec<String> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats
             .requests
             .fetch_add(lines.len() as u64, Ordering::Relaxed);
 
-        // Parse every line; slot either a ready error response or the
-        // index of the deduplicated query answering it.
-        enum Slot {
-            Ready(String),
-            Query { id: String, unique: usize },
-        }
-        let mut uniques: Vec<Request> = Vec::new();
-        let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        let slots: Vec<Slot> = lines
+        let parsed: Vec<Result<(&str, Request), String>> =
+            lines.iter().map(|line| self.parse_line(line)).collect();
+        // The distinct queries in first-seen order, and for each parsed
+        // line the index of the one answering it.
+        let mut index: HashMap<&Request, usize> = HashMap::with_capacity(parsed.len());
+        let mut uniques: Vec<&Request> = Vec::new();
+        let slots: Vec<usize> = parsed
             .iter()
-            .map(|line| {
-                let trimmed = line.trim();
-                let (id, body) = match trimmed.split_once(char::is_whitespace) {
-                    Some((id, body)) => (id, body),
-                    None if trimmed.is_empty() => {
-                        self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                        return Slot::Ready("- err empty".to_string());
-                    }
-                    None => (trimmed, ""),
-                };
-                match Request::parse(body) {
-                    Ok(req) => {
-                        let key = req.canonical();
-                        let unique = match index.get(&key) {
-                            Some(&u) => {
-                                self.stats.deduped.fetch_add(1, Ordering::Relaxed);
-                                u
-                            }
-                            None => {
-                                let u = uniques.len();
-                                index.insert(key, u);
-                                uniques.push(req);
-                                u
-                            }
-                        };
-                        Slot::Query {
-                            id: id.to_string(),
-                            unique,
-                        }
-                    }
-                    Err(e) => {
-                        self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                        Slot::Ready(format!("{id} err {}", e.code()))
-                    }
-                }
+            .filter_map(|p| p.as_ref().ok())
+            .map(|(_, req)| {
+                *index.entry(req).or_insert_with(|| {
+                    uniques.push(req);
+                    uniques.len() - 1
+                })
             })
             .collect();
+        self.stats
+            .deduped
+            .fetch_add((slots.len() - uniques.len()) as u64, Ordering::Relaxed);
 
         // Compute each distinct query once, fanned across workers.
         self.stats
             .computed
             .fetch_add(uniques.len() as u64, Ordering::Relaxed);
-        let answers = par_map(self.parallelism, &uniques, |_, req| self.eval(req));
+        let answers = par_map(self.parallelism, &uniques, |_, req| isolated(&eval, req));
 
-        slots
+        let mut slots = slots.into_iter();
+        parsed
             .into_iter()
-            .map(|slot| match slot {
-                Slot::Ready(resp) => resp,
-                Slot::Query { id, unique } => format!("{id} {}", answers[unique]),
+            .map(|p| match p {
+                Ok((id, _)) => {
+                    let unique = slots.next().expect("one slot per parsed line");
+                    format!("{id} {}", answers[unique])
+                }
+                Err(reply) => reply,
             })
             .collect()
     }
+}
+
+/// `eval(req)`, or `err internal` if it panics: a panic in one query
+/// must not cost the rest of its batch (or the daemon) their answers. The
+/// memo caches stay consistent: a panicking computation leaves its cell
+/// empty, and no shard lock is held while it runs.
+fn isolated(eval: impl Fn(&Request) -> String, req: &Request) -> String {
+    catch_unwind(AssertUnwindSafe(|| eval(req))).unwrap_or_else(|_| "err internal".to_string())
 }
 
 /// Tuning knobs of the batching front-end.
@@ -595,15 +639,25 @@ impl Default for BatchConfig {
 pub struct Submission {
     /// The raw request line.
     pub line: String,
-    /// Where the response line is sent.
+    /// Where the response line is sent. Submissions may share one
+    /// sender: each batch replies in submission order.
     pub reply: Sender<String>,
 }
 
 /// The batching front-end: blocks for the first request, coalesces
 /// everything arriving within the window (up to `max_batch`), answers the
-/// batch with dedup, and fans the responses back out. Returns when every
-/// submission sender has been dropped.
+/// batch with dedup, and sends the responses back in submission order.
+/// Returns when every submission sender has been dropped.
 pub fn run_batch_loop(server: &Server, cfg: BatchConfig, rx: &Receiver<Submission>) {
+    batch_loop(cfg, rx, |lines| server.answer_batch(lines));
+}
+
+/// [`run_batch_loop`] with each batch answered by `answer`.
+fn batch_loop(
+    cfg: BatchConfig,
+    rx: &Receiver<Submission>,
+    answer: impl Fn(&[String]) -> Vec<String>,
+) {
     while let Ok(first) = rx.recv() {
         let mut subs = vec![first];
         let deadline = Instant::now() + cfg.window;
@@ -614,11 +668,11 @@ pub fn run_batch_loop(server: &Server, cfg: BatchConfig, rx: &Receiver<Submissio
                 Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        let lines: Vec<String> = subs.iter().map(|s| s.line.clone()).collect();
-        let responses = server.answer_batch(&lines);
-        for (sub, resp) in subs.iter().zip(responses) {
+        let (lines, replies): (Vec<String>, Vec<Sender<String>>) =
+            subs.into_iter().map(|s| (s.line, s.reply)).unzip();
+        for (reply, resp) in replies.iter().zip(answer(&lines)) {
             // A client that hung up just loses its answer.
-            let _ = sub.reply.send(resp);
+            let _ = reply.send(resp);
         }
     }
 }
@@ -734,6 +788,63 @@ mod tests {
         handle.join().unwrap();
         // All 8 arrived before the window closed -> dedup saved 7 evals.
         assert!(server.stats().deduped.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn a_panicking_query_is_isolated_and_the_frontend_keeps_serving() {
+        let s = &server();
+        let panicky = |req: &Request| {
+            if matches!(req, Request::Score { .. }) {
+                panic!("injected evaluator panic");
+            }
+            s.eval(req)
+        };
+        let (tx, rx) = std::sync::mpsc::channel::<Submission>();
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        let round_trip = |tx: &Sender<Submission>, lines: &[&str]| -> Vec<String> {
+            for line in lines {
+                let sub = Submission {
+                    line: line.to_string(),
+                    reply: reply_tx.clone(),
+                };
+                tx.send(sub).expect("batch loop alive");
+            }
+            lines
+                .iter()
+                .map(|_| {
+                    reply_rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("a reply per line")
+                })
+                .collect()
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                batch_loop(BatchConfig::default(), &rx, |lines| {
+                    s.answer_batch_with(lines, panicky)
+                })
+            });
+            let first = [
+                "1 score 8 8 8 mkl 1 1 1 rw",
+                "2 ping",
+                "3 score 8 8 8 mkl 1 1 1 rw",
+                "4 nonsense",
+            ];
+            assert_eq!(
+                round_trip(&tx, &first),
+                [
+                    "1 err internal",
+                    "2 ok pong",
+                    "3 err internal",
+                    "4 err bad-verb"
+                ]
+            );
+            // The batch loop survived: a later batch is answered normally.
+            let next = ["5 optimize-op 64 32 16 1024 rw", "6 ping"];
+            let want: Vec<String> = next.iter().map(|l| server().answer_line(l)).collect();
+            assert_eq!(round_trip(&tx, &next), want);
+            drop(tx);
+        });
     }
 
     #[test]

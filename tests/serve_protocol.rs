@@ -1,11 +1,18 @@
 //! Serve-protocol conformance: every request variant round-trips through
-//! its canonical wire encoding byte-identically, malformed lines are
-//! rejected with an error response (never a panic, never daemon death),
-//! and batch answers are byte-identical to serial answers.
+//! its canonical wire encoding byte-identically, two bodies parse to equal
+//! requests exactly when their canonical encodings are equal (what batch
+//! dedup keys on), malformed or oversized lines are rejected with an error
+//! response (never a panic, never daemon death), and batch answers are
+//! byte-identical to serial answers.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 
-use fusecu::server::{ParseError, Request, Server};
+use fusecu::dataflow::CostModel;
+use fusecu::models::zoo;
+use fusecu::server::{ParseError, Request, Server, MAX_WORK};
 use fusecu_search::Parallelism;
 
 fn model_token(rw: bool) -> &'static str {
@@ -17,6 +24,62 @@ fn model_token(rw: bool) -> &'static str {
 }
 
 const ORDERS: [&str; 6] = ["mkl", "mlk", "kml", "klm", "lmk", "lkm"];
+
+/// A valid canonical body of verb `verb` (0..5), each field drawn from
+/// `raw` reduced into its range. Bodies built from two draws that differ
+/// in one entry differ in at most the fields that entry sets.
+fn body_from(verb: usize, raw: &[u64]) -> String {
+    let dim = |i: usize| 1 + raw[i] % 48;
+    let bs = |i: usize| 3 + raw[i] % 4096;
+    let model = |i: usize| model_token(raw[i] % 2 == 1);
+    match verb {
+        0 => "ping".to_string(),
+        1 => format!(
+            "optimize-op {} {} {} {} {}",
+            dim(0),
+            dim(1),
+            dim(2),
+            bs(3),
+            model(4)
+        ),
+        2 => {
+            let (m, k, l) = (dim(0), dim(1), dim(2));
+            format!(
+                "score {m} {k} {l} {} {} {} {} {}",
+                ORDERS[(raw[3] % 6) as usize],
+                1 + raw[4] % m,
+                1 + raw[5] % k,
+                1 + raw[6] % l,
+                model(7)
+            )
+        }
+        3 => {
+            let (m, k, l1, l2) = (dim(2), dim(3), dim(4), dim(5));
+            format!(
+                "plan-chain {} {} 2 {m} {k} {l1} {m} {l1} {l2}",
+                bs(0),
+                model(1)
+            )
+        }
+        _ => {
+            // Node 0 feeds nodes 1 and 2; `raw[8]` picks which links exist.
+            let (m, k, mid, l1, l2) = (dim(2), dim(3), dim(4), dim(5), dim(6));
+            let count = 1 + raw[7] % 4;
+            let links = ["0", "1 0 1", "1 0 2", "2 0 1 0 2"][(raw[8] % 4) as usize];
+            format!(
+                "plan-graph {} {} 3 0 {m} {k} {mid} {count} 1 {m} {mid} {l1} {count} 2 {m} {mid} {l2} {count} {links}",
+                bs(0),
+                model(1)
+            )
+        }
+    }
+}
+
+fn hash_of(req: &Request) -> u64 {
+    let mut h = DefaultHasher::new();
+    req.hash(&mut h);
+    h.finish()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -104,6 +167,29 @@ proptest! {
         prop_assert_eq!(Request::parse(&req.canonical()).expect("canonical parses"), req);
     }
 
+    /// Dedup on the parsed request is dedup on the canonical body: over
+    /// pairs of valid bodies that are equal or differ in one field, the
+    /// requests are equal (and hash equal) exactly when their canonical
+    /// encodings are, and those are the bodies themselves.
+    #[test]
+    fn parsed_equality_is_canonical_equality(
+        verb in 0usize..5,
+        raw in proptest::collection::vec(any::<u64>(), 9..10),
+        which in 0usize..9,
+        bump in 0u64..3,
+    ) {
+        let mut other = raw.clone();
+        other[which] = other[which].wrapping_add(bump);
+        let (a, b) = (body_from(verb, &raw), body_from(verb, &other));
+        let ra = Request::parse(&a).expect("valid body");
+        let rb = Request::parse(&b).expect("valid body");
+        prop_assert_eq!(&ra.canonical(), &a);
+        prop_assert_eq!(&rb.canonical(), &b);
+        prop_assert_eq!(ra == rb, ra.canonical() == rb.canonical());
+        prop_assert_eq!(ra == rb, a == b);
+        prop_assert!(ra != rb || hash_of(&ra) == hash_of(&rb));
+    }
+
     /// Arbitrary junk never panics the parser: it either parses (and then
     /// must round-trip) or yields a typed error.
     #[test]
@@ -144,6 +230,7 @@ fn error_codes_are_specific() {
         ("plan-chain 1024 paper 2 8 8 8 9 9 9", ParseError::BadChain),
         ("plan-graph 1024 paper 1 0 8 8 8 1 1 0 0", ParseError::BadGraph),
         ("plan-chain 1024 paper 100", ParseError::TooLarge),
+        ("optimize-op 65536 65536 65537 3 paper", ParseError::TooLarge),
         ("ping pong", ParseError::BadToken),
     ] {
         assert_eq!(Request::parse(body).unwrap_err(), want, "{body:?}");
@@ -172,6 +259,58 @@ fn malformed_flood_leaves_server_alive() {
             assert!(resp.contains(" ok ma "), "{resp}");
         } else {
             assert!(resp.contains(" err "), "{resp}");
+        }
+    }
+}
+
+/// `m·k·l` up to 2^72 passes the per-dimension limit, but memory access
+/// is a `u64`: past [`MAX_WORK`] a request is refused instead of answered
+/// with a wrapped cost (or an overflow panic in a debug build). At the cap
+/// every verb answers, and its cost stays below `4·MAX_WORK`.
+#[test]
+fn work_cap_refuses_overflow_and_answers_at_the_cap() {
+    let server = Server::new(Parallelism::Serial);
+    for body in [
+        "optimize-op 16777216 16777216 16777216 3 paper",
+        "score 16777216 16777216 16777216 mkl 1 1 1 rw",
+        "optimize-op 65536 65536 65537 3 paper",
+        "plan-chain 3 rw 2 65536 65536 32768 65536 32768 65537",
+        "plan-graph 3 rw 1 0 4096 4096 4096 4097 0",
+    ] {
+        assert_eq!(
+            server.answer_line(&format!("x {body}")),
+            "x err too-large",
+            "{body:?}"
+        );
+    }
+    for body in [
+        "optimize-op 65536 65536 65536 3 paper",
+        "score 65536 65536 65536 mkl 1 1 1 rw",
+        "plan-chain 3 rw 2 65536 65536 32768 65536 32768 65536",
+        "plan-graph 3 rw 2 0 4096 4096 2048 4096 1 4096 2048 4096 4096 1 0 1",
+    ] {
+        let reply = server.answer_line(&format!("x {body}"));
+        let ma: u64 = reply
+            .strip_prefix("x ok ma ")
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|ma| ma.parse().ok())
+            .unwrap_or_else(|| panic!("{body:?} -> {reply}"));
+        assert!(ma < 4 * MAX_WORK, "{body:?} -> {reply}");
+    }
+}
+
+/// The work cap admits every Table II graph as a `plan-graph` request
+/// (LLaMA2's prefill graph, the largest, is about 2^43.5).
+#[test]
+fn every_zoo_graph_is_a_valid_plan_graph_request() {
+    for config in zoo::all() {
+        for graph in [config.build_graph(), config.build_branchy_graph()] {
+            let req = Request::PlanGraph {
+                dag: graph.mm_dag(),
+                bs: 1 << 22,
+                model: CostModel::paper(),
+            };
+            assert_eq!(Request::parse(&req.canonical()), Ok(req), "{}", config.name);
         }
     }
 }
