@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fusecu::server::{spawn_frontend, BatchConfig, Server, Submission};
 use fusecu_search::{CacheStats, DataflowCache, Parallelism};
@@ -319,11 +319,7 @@ fn main() {
     // --- Daemon: one server + batching front-end, shared by every phase.
     evict_all_caches();
     let server = Arc::new(Server::new(Parallelism::Auto));
-    let cfg = BatchConfig {
-        window: Duration::from_micros(200),
-        max_batch: 1024,
-    };
-    let (sink, frontend) = spawn_frontend(Arc::clone(&server), cfg);
+    let (sink, frontend) = spawn_frontend(Arc::clone(&server), BatchConfig::default());
 
     // --- Phase B: pass 1, cold caches but batching + dedup + memoization
     // active. Its responses become the serial reference every later run
@@ -417,7 +413,7 @@ fn main() {
     ];
 
     let json = format!(
-        "{{\n  \"benchmark\": \"serve_stress\",\n  \"quick\": {quick},\n  \"available_parallelism\": {},\n  \"mix\": {{ \"unique\": {}, \"lines_per_pass\": {}, \"batch_window_us\": 200, \"pipeline_depth\": {DEPTH} }},\n  \"cold\": {{ \"sampled\": {}, \"seconds\": {cold_seconds:.3}, \"qps\": {cold_qps:.1} }},\n  \"pass1\": {{ \"qps\": {pass1_qps:.1}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }},\n  \"warm\": [\n    {warm_rows}\n  ],\n  \"pass2_hit_rate\": {pass2_hit_rate:.4},\n  \"dedup\": {{ \"requests\": {}, \"deduped\": {deduped}, \"computed\": {computed}, \"factor\": {dedup_factor:.3} }},\n  \"identity\": {{ \"warm_mismatches\": {warm_mismatches}, \"direct_mismatches\": {direct_mismatches}, \"cold_mismatches\": {cold_mismatches} }},\n  \"speedup_warm_vs_cold\": {speedup:.2},\n  \"gates\": {{ {} }}\n}}\n",
+        "{{\n  \"benchmark\": \"serve_stress\",\n  \"quick\": {quick},\n  \"available_parallelism\": {},\n  \"mix\": {{ \"unique\": {}, \"lines_per_pass\": {}, \"pipeline_depth\": {DEPTH} }},\n  \"cold\": {{ \"sampled\": {}, \"seconds\": {cold_seconds:.3}, \"qps\": {cold_qps:.1} }},\n  \"pass1\": {{ \"qps\": {pass1_qps:.1}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }},\n  \"warm\": [\n    {warm_rows}\n  ],\n  \"pass2_hit_rate\": {pass2_hit_rate:.4},\n  \"dedup\": {{ \"requests\": {}, \"deduped\": {deduped}, \"computed\": {computed}, \"factor\": {dedup_factor:.3} }},\n  \"identity\": {{ \"warm_mismatches\": {warm_mismatches}, \"direct_mismatches\": {direct_mismatches}, \"cold_mismatches\": {cold_mismatches} }},\n  \"speedup_warm_vs_cold\": {speedup:.2},\n  \"gates\": {{ {} }}\n}}\n",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         uniques.len(),
         mix.len(),

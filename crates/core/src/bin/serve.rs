@@ -1,15 +1,22 @@
 //! `fusecu-serve` — the optimizer as a persistent daemon.
 //!
 //! ```text
-//! fusecu-serve [--listen tcp:HOST:PORT] [--batch-window-us N] [--max-batch N]
+//! fusecu-serve [--listen tcp:HOST:PORT] [--max-batch N]
 //!              [--snapshot-interval-secs N] [--snapshot-dirty N]
 //!              [--serial | --threads N] [--no-disk-cache] [--stats-json]
 //! ```
 //!
 //! Speaks the newline-delimited protocol of [`fusecu::server`] on
 //! stdin/stdout (the default) or on a TCP socket; see that module's docs
-//! for the request grammar. Requests arriving within the batch window are
-//! coalesced and deduplicated; answers preserve per-client request order.
+//! for the request grammar. The batcher answers whatever requests are
+//! queued when it takes its next batch, deduplicated, without waiting for
+//! more; answers preserve per-client request order.
+//!
+//! Lines are read as bytes. A line that is not UTF-8 is decoded lossily
+//! and gets its ordinary parse error; a line longer than
+//! [`MAX_LINE_BYTES`] is answered `<id> err too-large` (`- err too-large`
+//! when no id was read) and skipped to its newline, so no client can grow
+//! the daemon's memory with one endless line.
 //!
 //! Three admin verbs are handled ahead of the batcher:
 //!
@@ -27,7 +34,7 @@
 //! On EOF/shutdown the daemon flushes and prints the cache summary (JSON
 //! with `--stats-json`) to stderr.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -35,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use fusecu::pipeline::DiskCacheSession;
-use fusecu::server::{spawn_frontend, BatchConfig, Server, Submission};
+use fusecu::server::{spawn_frontend, BatchConfig, Server, Submission, MAX_LINE_BYTES};
 use fusecu_search::Parallelism;
 
 fn arg_value(name: &str) -> Option<String> {
@@ -101,35 +108,45 @@ impl Daemon {
 
     /// Pumps one client: reads request lines from `input`, writes response
     /// lines to `output` in request order while keeping requests pipelined
-    /// through the batcher. Returns when the client closes or shutdown is
-    /// requested.
+    /// through the batcher. Returns when the client closes, its stream
+    /// fails, or shutdown is requested.
     ///
     /// Every batched request of the client carries a clone of one reply
     /// sender, and its replies arrive on that one stream in request order:
     /// the client's lines enter the batcher's FIFO queue in request order,
     /// a batch sends its replies in submission order, and the next batch
     /// starts only after that. So the in-order queue holds, per line,
-    /// either "the next reply on the stream" or an admin reply answered
-    /// inline.
-    fn pump(&self, input: impl BufRead, output: impl Write + Send) {
+    /// either "the next reply on the stream" or a reply answered inline.
+    fn pump(&self, mut input: impl BufRead, output: impl Write + Send) {
         let (pending_tx, pending_rx) = channel::<Pending>();
         let (reply_tx, reply_rx) = channel::<String>();
         std::thread::scope(|scope| {
             scope.spawn(move || write_replies(&pending_rx, &reply_rx, output));
-            for line in input.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
+            let mut buf = Vec::new();
+            while let Ok(Some(fits)) = read_line(&mut input, &mut buf) {
+                let line = String::from_utf8_lossy(&buf);
+                let pending = if !fits {
+                    let stats = self.server.stats();
+                    stats.requests.fetch_add(1, Ordering::Relaxed);
+                    stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+                    let id = match line.trim_start().split_once(char::is_whitespace) {
+                        Some((id, _)) => id,
+                        None => "-",
+                    };
+                    Pending::Inline(format!("{id} err too-large"))
+                } else if line.trim().is_empty() {
                     continue;
-                }
-                let pending = match self.try_admin(&line) {
-                    Some(resp) => Pending::Admin(resp),
-                    None => {
-                        let reply = reply_tx.clone();
-                        if self.sink.send(Submission { line, reply }).is_err() {
-                            break;
-                        }
-                        Pending::Batched
+                } else if let Some(resp) = self.try_admin(&line) {
+                    Pending::Inline(resp)
+                } else {
+                    let sub = Submission {
+                        line: line.into_owned(),
+                        reply: reply_tx.clone(),
+                    };
+                    if self.sink.send(sub).is_err() {
+                        break;
                     }
+                    Pending::Batched
                 };
                 if pending_tx.send(pending).is_err() {
                     break;
@@ -146,12 +163,38 @@ impl Daemon {
     }
 }
 
+/// Reads the next line of `input` into `buf` without its newline (or a
+/// `\r` before it). `Ok(Some(true))` is a line of at most
+/// [`MAX_LINE_BYTES`]; `Ok(Some(false))` a longer one, of which `buf`
+/// keeps the first [`MAX_LINE_BYTES`] and the rest is skipped up to and
+/// including its newline. `Ok(None)` at end of input.
+fn read_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    buf.clear();
+    // One byte past the cap tells a line at the cap from a longer one.
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        buf.truncate(MAX_LINE_BYTES);
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
+
 /// What the writer emits next for one request line.
 enum Pending {
     /// The next reply on the client's reply stream.
     Batched,
-    /// An admin reply, answered when its line was read.
-    Admin(String),
+    /// A reply made when its line was read: an admin verb's, or
+    /// `err too-large`.
+    Inline(String),
 }
 
 /// Writes one client's replies in request order. Replies that are already
@@ -161,7 +204,7 @@ fn write_replies(pending: &Receiver<Pending>, replies: &Receiver<String>, output
     let mut out = BufWriter::with_capacity(REPLY_BUFFER, output);
     while let Some(item) = next_or_flush(pending, &mut out) {
         let reply = match item {
-            Pending::Admin(reply) => reply,
+            Pending::Inline(reply) => reply,
             Pending::Batched => match next_or_flush(replies, &mut out) {
                 Some(reply) => reply,
                 None => break,
@@ -191,7 +234,6 @@ fn main() -> ExitCode {
     let parallelism = Parallelism::from_args();
     let stats_json = std::env::args().any(|a| a == "--stats-json");
     let cfg = BatchConfig {
-        window: Duration::from_micros(arg_u64("--batch-window-us", 1000)),
         max_batch: arg_u64("--max-batch", 1024) as usize,
     };
     let snapshot_interval = Duration::from_secs(arg_u64("--snapshot-interval-secs", 30));

@@ -43,26 +43,34 @@
 //!
 //! ## Batching and deduplication
 //!
-//! [`run_batch_loop`] coalesces requests arriving within a window into
-//! one batch, deduplicates them on the parsed [`Request`] (two bodies
-//! parse to equal requests exactly when their canonical encodings are
-//! equal, since [`Request::canonical`] prints every field), computes each
-//! distinct query once through the parallel engine, and fans the answers
-//! back out in submission order — N identical in-flight queries cost one
-//! computation *and* one cache insertion. Because replies leave in
-//! submission order and one batch is answered before the next starts, a
-//! client may clone one reply [`Sender`] into all of its submissions and
-//! read its replies back in request order: the `serve` binary keeps one
-//! such reply stream per client.
+//! [`run_batch_loop`] group-commits: it blocks for the first request, takes
+//! every request already queued behind it (up to `max_batch`) as one
+//! batch, answers it, and repeats. There is no timer: a batch is whatever
+//! queued while the previous one was being answered, so load builds
+//! batches and a lone request on an idle daemon is answered at once.
+//!
+//! A batch is deduplicated on the parsed [`Request`] (two bodies parse to
+//! equal requests exactly when their canonical encodings are equal, since
+//! [`Request::canonical`] prints every field). Each distinct query that
+//! needs no planning — a memo-cache hit, `ping` or `score` — is answered
+//! on the batch thread; only the misses fan out through the parallel
+//! engine. The answers go back out in submission order, so N identical
+//! in-flight queries cost one computation *and* one cache insertion (a
+//! duplicate that lands in a later batch is a cache hit). Because replies
+//! leave in submission order and one batch is answered before the next
+//! starts, a client may clone one reply [`Sender`] into all of its
+//! submissions and read its replies back in request order: the `serve`
+//! binary keeps one such reply stream per client.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use fusecu_dataflow::{CostModel, LoopNest, Tiling};
+use fusecu_dataflow::{CostModel, Dataflow, LoopNest, Tiling};
+use fusecu_fusion::graph_planner::{try_plan_dag_cached, try_plan_dag_if_cached, GraphPlan};
+use fusecu_fusion::planner::{try_plan_chain_cached, try_plan_chain_if_cached, ChainPlan};
 use fusecu_ir::{FuseLink, MatMul, MmChain, MmDag, MmDim, NodeId};
 use fusecu_search::{par_map, DataflowCache, Parallelism};
 
@@ -83,6 +91,11 @@ pub const MAX_BUFFER: u64 = 1 << 40;
 /// forms stays at least 2^14 below `u64::MAX`. LLaMA2's prefill graph, the
 /// largest zoo query, is about 2^43.5.
 pub const MAX_WORK: u64 = 1 << 48;
+/// Longest request line a transport reads, in bytes before its newline:
+/// far above the largest valid request (a 64-node `plan-graph` with 256
+/// links is about 4 KiB). `serve` answers a longer line `err too-large`
+/// without holding more than this much of it.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A parsed, validated request body (everything after the id token).
 ///
@@ -423,18 +436,26 @@ pub struct ServerStats {
     pub deduped: AtomicU64,
     /// Distinct queries actually computed (or cache-answered) by batches.
     pub computed: AtomicU64,
+    /// Distinct batch queries answered on the batch thread: cache hits,
+    /// `ping` and `score`.
+    pub inline: AtomicU64,
+    /// Distinct batch queries that missed the cache and were planned
+    /// through the parallel engine.
+    pub fanned_out: AtomicU64,
 }
 
 impl ServerStats {
     /// One-line JSON rendering for the daemon's `stats` verb.
     pub fn json(&self) -> String {
         format!(
-            "{{\"requests\":{},\"parse_errors\":{},\"batches\":{},\"deduped\":{},\"computed\":{}}}",
+            "{{\"requests\":{},\"parse_errors\":{},\"batches\":{},\"deduped\":{},\"computed\":{},\"inline\":{},\"fanned_out\":{}}}",
             self.requests.load(Ordering::Relaxed),
             self.parse_errors.load(Ordering::Relaxed),
             self.batches.load(Ordering::Relaxed),
             self.deduped.load(Ordering::Relaxed),
             self.computed.load(Ordering::Relaxed),
+            self.inline.load(Ordering::Relaxed),
+            self.fanned_out.load(Ordering::Relaxed),
         )
     }
 }
@@ -469,48 +490,36 @@ impl Server {
         match req {
             Request::Ping => "ok pong".to_string(),
             Request::OptimizeOp { mm, bs, model } => {
-                match DataflowCache::global().principle(model, *mm, *bs) {
-                    Some(df) => {
-                        let order: String =
-                            df.nest().order.iter().map(|&d| dim_char(d)).collect();
-                        let t = df.tiling();
-                        format!(
-                            "ok ma {} order {order} tiles {} {} {}",
-                            df.total_ma(),
-                            t.tile(MmDim::M),
-                            t.tile(MmDim::K),
-                            t.tile(MmDim::L)
-                        )
-                    }
-                    None => "ok infeasible".to_string(),
-                }
+                op_payload(DataflowCache::global().principle(model, *mm, *bs))
             }
             Request::PlanChain { chain, bs, model } => {
-                match fusecu_fusion::planner::try_plan_chain_cached(model, chain, *bs) {
-                    Some(plan) => format!(
-                        "ok ma {} steps {} fused {}",
-                        plan.total_ma(),
-                        plan.steps().len(),
-                        plan.fused_pair_count()
-                    ),
-                    None => "ok infeasible".to_string(),
-                }
+                chain_payload(try_plan_chain_cached(model, chain, *bs).as_ref())
             }
             Request::PlanGraph { dag, bs, model } => {
-                match fusecu_fusion::graph_planner::try_plan_dag_cached(model, dag, *bs) {
-                    Some(plan) => format!(
-                        "ok ma {} steps {} fused {} depth {}",
-                        plan.total_ma(),
-                        plan.steps().len(),
-                        plan.fused_step_count(),
-                        plan.max_fusion_depth()
-                    ),
-                    None => "ok infeasible".to_string(),
-                }
+                graph_payload(try_plan_dag_cached(model, dag, *bs).as_ref())
             }
             Request::Score { mm, nest, model } => {
                 format!("ok ma {}", model.evaluate(*mm, nest).total())
             }
+        }
+    }
+
+    /// [`Server::eval`] of a request that needs no planning: `ping`,
+    /// `score`, or a query whose result is already cached (counted as the
+    /// hit `eval` would count). `None` on a cache miss, with nothing
+    /// computed or counted, leaves the query to `eval`.
+    fn eval_if_cached(&self, req: &Request) -> Option<String> {
+        match req {
+            Request::OptimizeOp { mm, bs, model } => DataflowCache::global()
+                .principle_if_cached(model, *mm, *bs)
+                .map(op_payload),
+            Request::PlanChain { chain, bs, model } => {
+                try_plan_chain_if_cached(model, chain, *bs, chain_payload)
+            }
+            Request::PlanGraph { dag, bs, model } => {
+                try_plan_dag_if_cached(model, dag, *bs, graph_payload)
+            }
+            Request::Ping | Request::Score { .. } => Some(self.eval(req)),
         }
     }
 
@@ -521,7 +530,7 @@ impl Server {
         match self.parse_line(line) {
             Ok((id, req)) => {
                 self.stats.computed.fetch_add(1, Ordering::Relaxed);
-                format!("{id} {}", isolated(|req| self.eval(req), &req))
+                format!("{id} {}", isolated(|| self.eval(&req)))
             }
             Err(reply) => reply,
         }
@@ -548,17 +557,21 @@ impl Server {
 
     /// Answers a batch of raw request lines, deduplicating on the parsed
     /// request so N identical in-flight queries cost one computation.
-    /// Responses are positionally aligned with `lines` and byte-identical
-    /// to answering each line through [`Server::answer_line`].
+    /// Distinct queries that need no planning are answered on the calling
+    /// thread; only cache misses fan out across workers. Responses are
+    /// positionally aligned with `lines` and byte-identical to answering
+    /// each line through [`Server::answer_line`].
     pub fn answer_batch(&self, lines: &[String]) -> Vec<String> {
-        self.answer_batch_with(lines, |req| self.eval(req))
+        self.answer_batch_with(lines, |req| self.eval_if_cached(req), |req| self.eval(req))
     }
 
-    /// [`Server::answer_batch`] with each distinct query evaluated by
-    /// `eval`.
+    /// [`Server::answer_batch`] with each distinct query answered by
+    /// `cached` on the calling thread, or, where that returns `None`, by
+    /// `eval` through the parallel engine.
     fn answer_batch_with(
         &self,
         lines: &[String],
+        cached: impl Fn(&Request) -> Option<String>,
         eval: impl Fn(&Request) -> String + Sync,
     ) -> Vec<String> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
@@ -585,12 +598,28 @@ impl Server {
         self.stats
             .deduped
             .fetch_add((slots.len() - uniques.len()) as u64, Ordering::Relaxed);
-
-        // Compute each distinct query once, fanned across workers.
         self.stats
             .computed
             .fetch_add(uniques.len() as u64, Ordering::Relaxed);
-        let answers = par_map(self.parallelism, &uniques, |_, req| isolated(&eval, req));
+
+        // Answer what needs no planning here; fan only the misses out.
+        let mut answers: Vec<Option<String>> =
+            uniques.iter().map(|req| isolated(|| cached(req))).collect();
+        let misses: Vec<usize> = (0..uniques.len())
+            .filter(|&u| answers[u].is_none())
+            .collect();
+        self.stats
+            .inline
+            .fetch_add((uniques.len() - misses.len()) as u64, Ordering::Relaxed);
+        self.stats
+            .fanned_out
+            .fetch_add(misses.len() as u64, Ordering::Relaxed);
+        let planned = par_map(self.parallelism, &misses, |_, &u| {
+            isolated(|| eval(uniques[u]))
+        });
+        for (u, answer) in misses.into_iter().zip(planned) {
+            answers[u] = Some(answer);
+        }
 
         let mut slots = slots.into_iter();
         parsed
@@ -598,7 +627,8 @@ impl Server {
             .map(|p| match p {
                 Ok((id, _)) => {
                     let unique = slots.next().expect("one slot per parsed line");
-                    format!("{id} {}", answers[unique])
+                    let answer = answers[unique].as_deref().expect("every query answered");
+                    format!("{id} {answer}")
                 }
                 Err(reply) => reply,
             })
@@ -606,30 +636,70 @@ impl Server {
     }
 }
 
-/// `eval(req)`, or `err internal` if it panics: a panic in one query
-/// must not cost the rest of its batch (or the daemon) their answers. The
-/// memo caches stay consistent: a panicking computation leaves its cell
-/// empty, and no shard lock is held while it runs.
-fn isolated(eval: impl Fn(&Request) -> String, req: &Request) -> String {
-    catch_unwind(AssertUnwindSafe(|| eval(req))).unwrap_or_else(|_| "err internal".to_string())
+/// The `optimize-op` payload of a principle optimum.
+fn op_payload(df: Option<Dataflow>) -> String {
+    match df {
+        Some(df) => {
+            let order: String = df.nest().order.iter().map(|&d| dim_char(d)).collect();
+            let t = df.tiling();
+            format!(
+                "ok ma {} order {order} tiles {} {} {}",
+                df.total_ma(),
+                t.tile(MmDim::M),
+                t.tile(MmDim::K),
+                t.tile(MmDim::L)
+            )
+        }
+        None => "ok infeasible".to_string(),
+    }
+}
+
+/// The `plan-chain` payload of a chain plan.
+fn chain_payload(plan: Option<&ChainPlan>) -> String {
+    match plan {
+        Some(plan) => format!(
+            "ok ma {} steps {} fused {}",
+            plan.total_ma(),
+            plan.steps().len(),
+            plan.fused_pair_count()
+        ),
+        None => "ok infeasible".to_string(),
+    }
+}
+
+/// The `plan-graph` payload of a whole-graph plan.
+fn graph_payload(plan: Option<&GraphPlan>) -> String {
+    match plan {
+        Some(plan) => format!(
+            "ok ma {} steps {} fused {} depth {}",
+            plan.total_ma(),
+            plan.steps().len(),
+            plan.fused_step_count(),
+            plan.max_fusion_depth()
+        ),
+        None => "ok infeasible".to_string(),
+    }
+}
+
+/// `answer()`, or `err internal` if it panics: a panic in one query must
+/// not cost the rest of its batch (or the daemon) their answers. The memo
+/// caches stay consistent: a panicking computation leaves its cell empty,
+/// and no shard lock is held while it runs.
+fn isolated<T: From<String>>(answer: impl FnOnce() -> T) -> T {
+    catch_unwind(AssertUnwindSafe(answer)).unwrap_or_else(|_| T::from("err internal".to_string()))
 }
 
 /// Tuning knobs of the batching front-end.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// How long the collector waits after the first request of a batch for
-    /// more requests to coalesce.
-    pub window: Duration,
-    /// Hard cap on requests per batch.
+    /// Hard cap on requests per batch. A batch takes at most this many of
+    /// the requests already queued; the rest wait for the next batch.
     pub max_batch: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
-        BatchConfig {
-            window: Duration::from_micros(1000),
-            max_batch: 1024,
-        }
+        BatchConfig { max_batch: 1024 }
     }
 }
 
@@ -644,9 +714,10 @@ pub struct Submission {
     pub reply: Sender<String>,
 }
 
-/// The batching front-end: blocks for the first request, coalesces
-/// everything arriving within the window (up to `max_batch`), answers the
-/// batch with dedup, and sends the responses back in submission order.
+/// The batching front-end, a group commit: blocks for the first request,
+/// takes every request already queued behind it (up to `max_batch`),
+/// answers the batch with dedup, sends the responses back in submission
+/// order, and repeats. It never waits for more requests to arrive.
 /// Returns when every submission sender has been dropped.
 pub fn run_batch_loop(server: &Server, cfg: BatchConfig, rx: &Receiver<Submission>) {
     batch_loop(cfg, rx, |lines| server.answer_batch(lines));
@@ -659,17 +730,11 @@ fn batch_loop(
     answer: impl Fn(&[String]) -> Vec<String>,
 ) {
     while let Ok(first) = rx.recv() {
-        let mut subs = vec![first];
-        let deadline = Instant::now() + cfg.window;
-        while subs.len() < cfg.max_batch {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(left) {
-                Ok(sub) => subs.push(sub),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let (lines, replies): (Vec<String>, Vec<Sender<String>>) =
-            subs.into_iter().map(|s| (s.line, s.reply)).unzip();
+        let queued = rx.try_iter().take(cfg.max_batch.saturating_sub(1));
+        let (lines, replies): (Vec<String>, Vec<Sender<String>>) = std::iter::once(first)
+            .chain(queued)
+            .map(|s| (s.line, s.reply))
+            .unzip();
         for (reply, resp) in replies.iter().zip(answer(&lines)) {
             // A client that hung up just loses its answer.
             let _ = reply.send(resp);
@@ -692,6 +757,7 @@ pub fn spawn_frontend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn server() -> Server {
         Server::new(Parallelism::Serial)
@@ -759,43 +825,70 @@ mod tests {
         assert_eq!(batch.stats().parse_errors.load(Ordering::Relaxed), 1);
     }
 
+    /// Queues `lines` on a fresh submission channel, all replying on one
+    /// stream, and closes the channel.
+    fn queued(lines: impl IntoIterator<Item = String>) -> (Receiver<Submission>, Receiver<String>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        for line in lines {
+            let reply = reply_tx.clone();
+            tx.send(Submission { line, reply }).unwrap();
+        }
+        (rx, reply_rx)
+    }
+
     #[test]
     fn frontend_coalesces_and_replies() {
-        let server = Arc::new(Server::new(Parallelism::Serial));
-        let (tx, handle) = spawn_frontend(
-            Arc::clone(&server),
-            BatchConfig {
-                window: Duration::from_millis(5),
-                max_batch: 64,
-            },
-        );
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for i in 0..8 {
-            tx.send(Submission {
-                line: format!("{i} optimize-op 128 64 32 16384 rw"),
-                reply: reply_tx.clone(),
-            })
-            .unwrap();
-        }
-        let mut responses: Vec<String> = (0..8).map(|_| reply_rx.recv().unwrap()).collect();
-        responses.sort();
+        let server = server();
+        // All 8 are queued before the loop starts, so its first batch
+        // takes every one of them; the loop returns once the queue is
+        // drained and its sender gone.
+        let (rx, replies) = queued((0..8).map(|i| format!("{i} optimize-op 128 64 32 16384 rw")));
+        run_batch_loop(&server, BatchConfig::default(), &rx);
+        let responses: Vec<String> = replies.try_iter().collect();
         assert_eq!(responses.len(), 8);
-        let payload = responses[0].split_once(' ').unwrap().1.to_string();
-        for r in &responses {
-            assert_eq!(r.split_once(' ').unwrap().1, payload);
+        let payload = responses[0].split_once(' ').unwrap().1;
+        assert!(payload.starts_with("ok ma "), "{payload}");
+        for (i, r) in responses.iter().enumerate() {
+            assert_eq!(*r, format!("{i} {payload}"), "replies in submission order");
         }
-        drop(tx);
-        handle.join().unwrap();
-        // All 8 arrived before the window closed -> dedup saved 7 evals.
-        assert!(server.stats().deduped.load(Ordering::Relaxed) >= 1);
+        assert_eq!(server.stats().batches.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().deduped.load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn a_batch_takes_at_most_max_batch_of_the_queue() {
+        let server = server();
+        let (rx, replies) = queued((0..5).map(|i| format!("{i} ping")));
+        run_batch_loop(&server, BatchConfig { max_batch: 2 }, &rx);
+        let want: Vec<String> = (0..5).map(|i| format!("{i} ok pong")).collect();
+        assert_eq!(replies.try_iter().collect::<Vec<_>>(), want);
+        assert_eq!(server.stats().batches.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn a_panicking_query_is_isolated_and_the_frontend_keeps_serving() {
         let s = &server();
-        let panicky = |req: &Request| {
-            if matches!(req, Request::Score { .. }) {
-                panic!("injected evaluator panic");
+        // One query answered from the cache and one that must be planned,
+        // both unique to this test, so the second stays a miss.
+        let warm = Request::parse("optimize-op 48 40 24 2048 paper").unwrap();
+        let cold = Request::parse("optimize-op 61 59 53 4093 rw").unwrap();
+        s.eval(&warm);
+        let boom =
+            |req: &Request| matches!(req, Request::Score { .. }) || *req == warm || *req == cold;
+        let (hit_panics, miss_panics) = (&AtomicU64::new(0), &AtomicU64::new(0));
+        let cached = |req: &Request| {
+            let answer = s.eval_if_cached(req);
+            if answer.is_some() && boom(req) {
+                hit_panics.fetch_add(1, Ordering::Relaxed);
+                panic!("injected panic on the hit path");
+            }
+            answer
+        };
+        let planned = |req: &Request| {
+            if boom(req) {
+                miss_panics.fetch_add(1, Ordering::Relaxed);
+                panic!("injected panic on the miss path");
             }
             s.eval(req)
         };
@@ -821,7 +914,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 batch_loop(BatchConfig::default(), &rx, |lines| {
-                    s.answer_batch_with(lines, panicky)
+                    s.answer_batch_with(lines, cached, planned)
                 })
             });
             let first = [
@@ -842,6 +935,22 @@ mod tests {
             // The batch loop survived: a later batch is answered normally.
             let next = ["5 optimize-op 64 32 16 1024 rw", "6 ping"];
             let want: Vec<String> = next.iter().map(|l| server().answer_line(l)).collect();
+            assert_eq!(round_trip(&tx, &next), want);
+            // A panic on either path answers `err internal`.
+            let both = [
+                "7 optimize-op 48 40 24 2048 paper",
+                "8 optimize-op 61 59 53 4093 rw",
+                "9 ping",
+            ];
+            assert_eq!(
+                round_trip(&tx, &both),
+                ["7 err internal", "8 err internal", "9 ok pong"]
+            );
+            assert!(
+                hit_panics.load(Ordering::Relaxed) >= 2,
+                "score and the warm query"
+            );
+            assert_eq!(miss_panics.load(Ordering::Relaxed), 1, "the cold query");
             assert_eq!(round_trip(&tx, &next), want);
             drop(tx);
         });

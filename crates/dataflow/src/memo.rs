@@ -160,6 +160,22 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
         value
     }
 
+    /// Reads the cached value for `key` through `read` and counts a hit,
+    /// or returns `None` and counts nothing when no value is there yet
+    /// (absent, or still being computed by another thread). The miss is
+    /// left to the [`MemoCache::get_or_compute`] that follows, so a `get`
+    /// then `get_or_compute` pair counts exactly what `get_or_compute`
+    /// alone would. `read` runs without the shard lock held.
+    pub fn get<R>(&self, key: &K, read: impl FnOnce(&V) -> R) -> Option<R> {
+        let cell = {
+            let shard = self.shard(key).lock().expect("cache shard poisoned");
+            Arc::clone(shard.get(key)?)
+        };
+        let value = cell.get()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(read(value))
+    }
+
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -290,6 +306,18 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().lookups(), 0);
+    }
+
+    #[test]
+    fn get_counts_hits_and_leaves_misses_to_get_or_compute() {
+        let cache: MemoCache<u64, u64> = MemoCache::new();
+        assert_eq!(cache.get(&7, |v| *v), None);
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.get_or_compute(7, || 49), 49);
+        assert_eq!(cache.get(&7, |v| v + 1), Some(50));
+        assert_eq!(cache.get(&8, |v| *v), None);
+        // The same counts as `get_or_compute` twice on 7 and not yet on 8.
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

@@ -533,6 +533,18 @@ pub fn try_plan_dag_cached(model: &CostModel, dag: &MmDag, bs: u64) -> Option<Gr
     graph_cache().get_or_compute((dag.clone(), bs, *model), || try_plan_dag(model, dag, bs))
 }
 
+/// [`try_plan_dag_cached`]'s plan read through `read` if it is already
+/// cached (a hit), else `None` without planning or counting anything
+/// ([`MemoCache::get`]).
+pub fn try_plan_dag_if_cached<R>(
+    model: &CostModel,
+    dag: &MmDag,
+    bs: u64,
+    read: impl FnOnce(Option<&GraphPlan>) -> R,
+) -> Option<R> {
+    graph_cache().get(&(dag.clone(), bs, *model), |plan| read(plan.as_ref()))
+}
+
 /// Memoized [`try_plan_graph`].
 pub fn try_plan_graph_cached(model: &CostModel, graph: &OpGraph, bs: u64) -> Option<GraphPlan> {
     try_plan_dag_cached(model, &graph.mm_dag(), bs)

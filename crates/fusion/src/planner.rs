@@ -215,6 +215,18 @@ pub fn try_plan_chain_cached(model: &CostModel, chain: &MmChain, bs: u64) -> Opt
     })
 }
 
+/// [`try_plan_chain_cached`]'s plan read through `read` if it is already
+/// cached (a hit), else `None` without planning or counting anything
+/// ([`MemoCache::get`]).
+pub fn try_plan_chain_if_cached<R>(
+    model: &CostModel,
+    chain: &MmChain,
+    bs: u64,
+    read: impl FnOnce(Option<&ChainPlan>) -> R,
+) -> Option<R> {
+    plan_cache().get(&(chain.clone(), bs, *model), |plan| read(plan.as_ref()))
+}
+
 /// Memoized [`plan_chain`].
 ///
 /// # Panics

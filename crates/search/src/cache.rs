@@ -88,6 +88,17 @@ impl DataflowCache {
             .get_or_compute((mm, bs, *model), || try_optimize_with(model, mm, bs))
     }
 
+    /// [`DataflowCache::principle`] if it is already cached (a hit), else
+    /// `None` without computing or counting anything ([`MemoCache::get`]).
+    pub fn principle_if_cached(
+        &self,
+        model: &CostModel,
+        mm: MatMul,
+        bs: u64,
+    ) -> Option<Option<Dataflow>> {
+        self.principle.get(&(mm, bs, *model), |df| *df)
+    }
+
     /// Memoized exhaustive-oracle search.
     pub fn exhaustive(&self, model: &CostModel, mm: MatMul, bs: u64) -> Option<SearchResult> {
         self.exhaustive.get_or_compute((mm, bs, *model), || {

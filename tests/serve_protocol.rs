@@ -3,7 +3,8 @@
 //! requests exactly when their canonical encodings are equal (what batch
 //! dedup keys on), malformed or oversized lines are rejected with an error
 //! response (never a panic, never daemon death), and batch answers are
-//! byte-identical to serial answers.
+//! byte-identical to serial answers, whether a query was a cache hit or
+//! had to be planned.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -188,6 +189,41 @@ proptest! {
         prop_assert_eq!(ra == rb, ra.canonical() == rb.canonical());
         prop_assert_eq!(ra == rb, a == b);
         prop_assert!(ra != rb || hash_of(&ra) == hash_of(&rb));
+    }
+
+    /// A batch answers byte for byte as serial evaluation does when it
+    /// mixes queries warmed into the caches beforehand (answered on the
+    /// batch thread), cold ones (planned through the parallel engine), a
+    /// duplicate and a malformed line.
+    #[test]
+    fn batch_equals_serial_over_warm_and_cold_queries(
+        draws in proptest::collection::vec(
+            (0usize..5, proptest::collection::vec(any::<u64>(), 9..10), any::<bool>()),
+            1..24,
+        ),
+        dup in any::<usize>(),
+    ) {
+        let bodies: Vec<String> = draws
+            .iter()
+            .map(|(verb, raw, _)| body_from(*verb, raw))
+            .collect();
+        let warmer = Server::new(Parallelism::Serial);
+        for (body, (_, _, warm)) in bodies.iter().zip(&draws) {
+            if *warm {
+                warmer.answer_line(&format!("w {body}"));
+            }
+        }
+        let mut lines: Vec<String> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, body)| format!("{i} {body}"))
+            .collect();
+        lines.insert(dup % lines.len(), format!("d {}", bodies[dup % bodies.len()]));
+        lines.push("x frobnicate".to_string());
+        let batch = Server::new(Parallelism::Auto).answer_batch(&lines);
+        let serial = Server::new(Parallelism::Serial);
+        let want: Vec<String> = lines.iter().map(|line| serial.answer_line(line)).collect();
+        prop_assert_eq!(batch, want);
     }
 
     /// Arbitrary junk never panics the parser: it either parses (and then

@@ -1,5 +1,7 @@
 //! The `serve` daemon over stdio, end to end: a real process answering a
-//! large pipelined write, then closed-loop pings, then EOF.
+//! large pipelined write, then closed-loop pings, then EOF; and a client
+//! that sends bytes which are not UTF-8, or a line far over the length
+//! cap.
 //!
 //! The daemon keeps one reply stream per client and coalesces replies
 //! that are already answered into one write. This pins what that must
@@ -12,15 +14,22 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
 
-use fusecu::server::Server;
+use fusecu::server::{Server, MAX_LINE_BYTES};
 use fusecu_search::Parallelism;
 
 const PINGS: usize = 30;
-/// Median round-trip bound: well above the 1 ms batch window, far below
-/// any wait for more replies to coalesce.
+/// Median round-trip bound: far above the time to answer one ping, far
+/// below any wait for more replies to coalesce.
 const MEDIAN_BOUND: Duration = Duration::from_millis(20);
 /// Longest wait for any one reply before the test gives up.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+/// Length of each oversized line: four times the cap.
+const HUGE_LINE: usize = 4 << 20;
+const _: () = assert!(HUGE_LINE > MAX_LINE_BYTES);
+/// Peak resident memory the daemon may reach while skipping two
+/// [`HUGE_LINE`]s, in KiB. An idle daemon peaks near 3.5 MiB (debug
+/// build); reading each huge line whole took it past 10 MiB.
+const HWM_BOUND_KIB: u64 = 8 << 10;
 
 /// Kills the daemon if the test ends before it exits.
 struct Daemon(Child);
@@ -155,4 +164,83 @@ fn stdio_replies_in_request_order_match_serial_and_leave_at_once() {
         median < MEDIAN_BOUND,
         "median stdio ping round trip {median:?} (sorted: {round_trips:?})"
     );
+}
+
+/// A daemon's peak resident set (`VmHWM`) in KiB.
+fn vm_hwm_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|kib| kib.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/<pid>/status")
+}
+
+#[test]
+fn a_line_that_is_not_utf8_gets_a_parse_error_and_later_lines_are_answered() {
+    let (mut daemon, mut stdin, replies) = spawn_daemon();
+    stdin
+        .write_all(b"1 ping\n\xff bad\n2 ping\n3 optimize-op 64 64 64 4096 rw\n")
+        .expect("write script");
+    drop(stdin);
+    let got: Vec<String> = (0..4)
+        .map(|_| {
+            replies
+                .recv_timeout(REPLY_TIMEOUT)
+                .expect("a reply per line")
+        })
+        .collect();
+    let op = Server::new(Parallelism::Serial).answer_line("3 optimize-op 64 64 64 4096 rw");
+    assert_eq!(
+        got,
+        [
+            "1 ok pong",
+            "\u{fffd} err bad-verb",
+            "2 ok pong",
+            op.as_str()
+        ]
+    );
+    let status = daemon.0.wait().expect("wait for serve");
+    assert!(status.success(), "serve exited with {status} on EOF");
+}
+
+#[test]
+fn a_line_over_the_cap_is_refused_in_bounded_memory() {
+    let (mut daemon, mut stdin, replies) = spawn_daemon();
+    let pid = daemon.0.id();
+    writeln!(stdin, "0 ping").expect("send ping");
+    stdin.flush().expect("flush ping");
+    assert_eq!(
+        replies.recv_timeout(REPLY_TIMEOUT).expect("ping reply"),
+        "0 ok pong"
+    );
+
+    // One huge line after an id, one with no id at all, then a ping.
+    let huge = vec![b'x'; HUGE_LINE];
+    let writer = std::thread::spawn(move || {
+        stdin.write_all(b"big ").expect("write id");
+        stdin.write_all(&huge).expect("write huge line");
+        stdin.write_all(b"\n").expect("write newline");
+        stdin.write_all(&huge).expect("write huge line");
+        stdin.write_all(b"\n1 ping\n").expect("write ping");
+        stdin.flush().expect("flush");
+        stdin
+    });
+    let got: Vec<String> = (0..3)
+        .map(|_| {
+            replies
+                .recv_timeout(REPLY_TIMEOUT)
+                .expect("a reply per line")
+        })
+        .collect();
+    assert_eq!(got, ["big err too-large", "- err too-large", "1 ok pong"]);
+    let hwm = vm_hwm_kib(pid);
+    assert!(
+        hwm < HWM_BOUND_KIB,
+        "serve peaked at {hwm} KiB skipping {HUGE_LINE}-byte lines"
+    );
+
+    drop(writer.join().expect("huge-line writer"));
+    let status = daemon.0.wait().expect("wait for serve");
+    assert!(status.success(), "serve exited with {status} on EOF");
 }

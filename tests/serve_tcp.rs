@@ -4,7 +4,7 @@
 //! A reply must leave as soon as it is answered. When the payload and its
 //! newline went out as two writes with Nagle's algorithm on, the second
 //! segment waited for the client's delayed ACK, and every closed-loop
-//! round trip took about 44 ms instead of the 1 ms batch window.
+//! round trip took about 44 ms instead of about 1 ms.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,8 +12,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const PINGS: usize = 30;
-/// Median round-trip bound: well above the 1 ms batch window, well below
-/// a delayed-ACK stall.
+/// Median round-trip bound: well above the time to answer one ping, well
+/// below a delayed-ACK stall.
 const MEDIAN_BOUND: Duration = Duration::from_millis(20);
 
 /// Kills the daemon if the test ends before shutting it down.
