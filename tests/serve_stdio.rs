@@ -1,13 +1,17 @@
 //! The `serve` daemon over stdio, end to end: a real process answering a
-//! large pipelined write, then closed-loop pings, then EOF; and a client
-//! that sends bytes which are not UTF-8, or a line far over the length
-//! cap.
+//! large pipelined write, then closed-loop pings, then EOF; a client that
+//! sends bytes which are not UTF-8, or a line far over the length cap;
+//! and the split between lines answered as they are read and lines sent
+//! to the batcher, seen through `stats`.
 //!
-//! The daemon keeps one reply stream per client and coalesces replies
-//! that are already answered into one write. This pins what that must
-//! not change: every line is answered once, in request order, with the
-//! bytes of a serial in-process evaluation, and a reply that is ready is
-//! written at once rather than held for more.
+//! The daemon answers a line that needs no planning as it reads it, sends
+//! only cache misses to the batcher, keeps one reply stream per client
+//! and coalesces replies that are already answered into one write. This
+//! pins what that must not change: every line is answered once, in
+//! request order, with the bytes of a serial in-process evaluation, N
+//! identical in-flight misses are computed once, `stats` counts every
+//! line before it, and a reply that is ready is written at once rather
+//! than held for more.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -62,6 +66,32 @@ fn spawn_daemon() -> (Daemon, ChildStdin, Receiver<String>) {
         }
     });
     (Daemon(child), stdin, rx)
+}
+
+/// The next `n` replies, waiting at most [`REPLY_TIMEOUT`] for each.
+fn recv_n(replies: &Receiver<String>, n: usize) -> Vec<String> {
+    (0..n)
+        .map(|_| {
+            replies
+                .recv_timeout(REPLY_TIMEOUT)
+                .expect("a reply per line")
+        })
+        .collect()
+}
+
+/// The number at a key path in a `stats` reply's JSON, such as
+/// `["server", "requests"]`.
+fn counter(stats: &str, path: &[&str]) -> u64 {
+    let mut rest = stats;
+    for key in path {
+        let pat = format!("\"{key}\":");
+        let at = rest.find(&pat).unwrap_or_else(|| panic!("no {path:?} in {stats}"));
+        rest = &rest[at + pat.len()..];
+    }
+    let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+    rest[..digits]
+        .parse()
+        .unwrap_or_else(|_| panic!("{path:?} is not a count in {stats}"))
 }
 
 /// At least 1,000 request lines over every verb: small distinct queries,
@@ -183,13 +213,7 @@ fn a_line_that_is_not_utf8_gets_a_parse_error_and_later_lines_are_answered() {
         .write_all(b"1 ping\n\xff bad\n2 ping\n3 optimize-op 64 64 64 4096 rw\n")
         .expect("write script");
     drop(stdin);
-    let got: Vec<String> = (0..4)
-        .map(|_| {
-            replies
-                .recv_timeout(REPLY_TIMEOUT)
-                .expect("a reply per line")
-        })
-        .collect();
+    let got = recv_n(&replies, 4);
     let op = Server::new(Parallelism::Serial).answer_line("3 optimize-op 64 64 64 4096 rw");
     assert_eq!(
         got,
@@ -226,13 +250,7 @@ fn a_line_over_the_cap_is_refused_in_bounded_memory() {
         stdin.flush().expect("flush");
         stdin
     });
-    let got: Vec<String> = (0..3)
-        .map(|_| {
-            replies
-                .recv_timeout(REPLY_TIMEOUT)
-                .expect("a reply per line")
-        })
-        .collect();
+    let got = recv_n(&replies, 3);
     assert_eq!(got, ["big err too-large", "- err too-large", "1 ok pong"]);
     let hwm = vm_hwm_kib(pid);
     assert!(
@@ -241,6 +259,111 @@ fn a_line_over_the_cap_is_refused_in_bounded_memory() {
     );
 
     drop(writer.join().expect("huge-line writer"));
+    let status = daemon.0.wait().expect("wait for serve");
+    assert!(status.success(), "serve exited with {status} on EOF");
+}
+
+#[test]
+fn stats_counts_every_line_before_it() {
+    let (mut daemon, mut stdin, replies) = spawn_daemon();
+    stdin
+        .write_all(b"1 ping\n2 optimize-op 512 512 512 1048576 paper\n3 stats\n")
+        .expect("write script");
+    stdin.flush().expect("flush script");
+    let got = recv_n(&replies, 3);
+    assert_eq!(got[0], "1 ok pong");
+    assert!(got[1].starts_with("2 ok ma "), "{}", got[1]);
+    let stats = &got[2];
+    assert!(stats.starts_with("3 ok {"), "{stats}");
+    // The ping is answered as it is read, the cold `optimize-op` by a
+    // batch; `stats` is made only after both replies are written.
+    assert!(counter(stats, &["server", "requests"]) >= 2, "{stats}");
+    assert!(counter(stats, &["server", "fanned_out"]) >= 1, "{stats}");
+
+    // A `stats` read while a miss is still being planned sees all of that
+    // planning: it equals a `stats` sent after the miss's reply arrived.
+    // (The 16-matmul chain takes milliseconds to plan; the line behind it
+    // is read within microseconds.)
+    let nodes: String = (0..16)
+        .map(|i| format!(" {i} 256 {} {} 1", 64 + 32 * (i % 5), 64 + 32 * ((i + 1) % 5)))
+        .collect();
+    let links: String = (0..15).map(|i| format!(" {i} {}", i + 1)).collect();
+    writeln!(stdin, "4 plan-graph 65536 paper 16{nodes} 15{links}\n5 stats").expect("write miss");
+    stdin.flush().expect("flush miss");
+    let got = recv_n(&replies, 2);
+    assert!(got[0].starts_with("4 ok ma "), "{}", got[0]);
+    writeln!(stdin, "6 stats").expect("write stats");
+    drop(stdin);
+    let after = recv_n(&replies, 1);
+    assert_eq!(
+        got[1].strip_prefix("5 "),
+        after[0].strip_prefix("6 "),
+        "counters moved after the `stats` behind the miss"
+    );
+    let status = daemon.0.wait().expect("wait for serve");
+    assert!(status.success(), "serve exited with {status} on EOF");
+}
+
+#[test]
+fn a_warm_round_is_answered_as_it_is_read_without_a_batch() {
+    let (mut daemon, mut stdin, replies) = spawn_daemon();
+    let bodies: Vec<String> = (0..12u64)
+        .flat_map(|i| {
+            let (m, k, l) = (8 + i * 8, 16 + i % 5 * 8, 8 + i % 3 * 16);
+            let model = if i % 2 == 0 { "paper" } else { "rw" };
+            [
+                format!("optimize-op {m} {k} {l} {} {model}", 256 << (i % 4)),
+                format!("plan-chain 4096 {model} 2 {m} {k} {l} {m} {l} {k}"),
+                format!("plan-graph 8192 {model} 3 0 {m} {k} {l} 2 1 {m} {l} {k} 2 2 {m} {l} {m} 2 2 0 1 0 2"),
+                format!("score {m} {k} {l} lkm {} {k} {} {model}", 1 + i % m, 1 + i % l),
+            ]
+        })
+        .chain(["ping".to_string()])
+        .collect();
+    let reference = Server::new(Parallelism::Serial);
+    // One round of `bodies` under the id prefix `p` in one write, then
+    // `stats`; returns the `stats` reply after checking every other one.
+    let mut round = |p: &str| -> String {
+        let lines: Vec<String> = bodies.iter().map(|body| format!("{p}{body}")).collect();
+        let script: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        writeln!(stdin, "{script}{p}stats").expect("write round");
+        stdin.flush().expect("flush round");
+        let got = recv_n(&replies, lines.len() + 1);
+        for (line, reply) in lines.iter().zip(&got) {
+            assert_eq!(reply, &reference.answer_line(line), "reply to {line:?}");
+        }
+        got[lines.len()].clone()
+    };
+    let cold = round("c ");
+    let warm = round("w ");
+    let moved = |path: &[&str]| counter(&warm, path) - counter(&cold, path);
+    let n = bodies.len() as u64;
+    assert_eq!(moved(&["server", "batches"]), 0, "{cold}\n{warm}");
+    assert_eq!(moved(&["server", "inline"]), n, "{cold}\n{warm}");
+    assert_eq!(moved(&["server", "requests"]), n, "{cold}\n{warm}");
+    assert!(counter(&cold, &["server", "fanned_out"]) > 0, "{cold}");
+
+    drop(stdin);
+    let status = daemon.0.wait().expect("wait for serve");
+    assert!(status.success(), "serve exited with {status} on EOF");
+}
+
+#[test]
+fn two_identical_cold_lines_in_one_write_are_computed_once() {
+    let (mut daemon, mut stdin, replies) = spawn_daemon();
+    let body = "optimize-op 96 80 72 8192 rw";
+    write!(stdin, "1 {body}\n2 {body}\n3 stats\n").expect("write script");
+    drop(stdin);
+    let got = recv_n(&replies, 3);
+    let reference = Server::new(Parallelism::Serial);
+    assert_eq!(got[0], reference.answer_line(&format!("1 {body}")));
+    assert_eq!(got[1], reference.answer_line(&format!("2 {body}")));
+    let stats = &got[2];
+    assert_eq!(
+        counter(stats, &["cache", "sections", "principle", "misses"]),
+        1,
+        "{stats}"
+    );
     let status = daemon.0.wait().expect("wait for serve");
     assert!(status.success(), "serve exited with {status} on EOF");
 }
