@@ -12,7 +12,9 @@
 //! once when that needs no planning (a parse error, `ping`, `score`, a
 //! memo-cache hit); only cache misses go to the batcher, which answers
 //! whatever misses are queued when it takes its next batch, deduplicated,
-//! without waiting for more. Answers preserve per-client request order.
+//! without waiting for more. A body answered that way before is answered
+//! again from the server's reply memo, without being parsed. Answers
+//! preserve per-client request order.
 //!
 //! Lines are read as bytes. A line that is not UTF-8 is decoded lossily
 //! and gets its ordinary parse error; a line longer than
@@ -22,13 +24,20 @@
 //!
 //! Three admin verbs are handled ahead of the batcher:
 //!
-//! * `<id> stats` — one-line JSON: server counters plus the per-section
-//!   cache report, made when every reply before it has been written, so
-//!   its counters include every line the client sent before it;
+//! * `<id> stats` — one-line JSON: server counters, the reply memo's
+//!   counters (`replies`) and the per-section cache report, made when
+//!   every reply before it has been written, so its counters include
+//!   every line the client sent before it;
 //! * `<id> flush` — incremental cache snapshot now, answers
 //!   `ok flushed <entries>`;
 //! * `<id> shutdown` — flush, answer `ok bye`, exit (TCP mode: the whole
-//!   daemon, not just the connection).
+//!   daemon, not just the connection: every other connection stops being
+//!   read, gets the replies it is owed and is closed).
+//!
+//! In TCP mode each connection holds one descriptor. When `accept` fails,
+//! out of descriptors say, the daemon waits 25 ms before it tries again,
+//! so clients it cannot take yet wait in the listen backlog and are
+//! served once others close.
 //!
 //! The disk caches are preloaded at startup and snapshotted incrementally:
 //! a background thread flushes whenever `--snapshot-dirty` entries are
@@ -39,10 +48,11 @@
 
 use std::borrow::Cow;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 use fusecu::pipeline::DiskCacheSession;
@@ -112,13 +122,14 @@ impl Daemon {
         }
     }
 
-    /// The `stats` reply: server counters plus the per-section cache
-    /// report.
+    /// The `stats` reply: server counters, the reply memo's counters and
+    /// the per-section cache report.
     fn stats_reply(&self, id: &str) -> String {
         let cache = self.session.lock().unwrap().stats_json();
         format!(
-            "{id} ok {{\"server\":{},\"cache\":{cache}}}",
-            self.server.stats().json()
+            "{id} ok {{\"server\":{},\"replies\":{},\"cache\":{cache}}}",
+            self.server.stats().json(),
+            self.server.replies().json()
         )
     }
 
@@ -361,6 +372,8 @@ fn main() -> ExitCode {
             // ends the accept loop without needing another client.
             listener.set_nonblocking(true).expect("nonblocking listener");
             std::thread::scope(|scope| {
+                // Every open connection, for `shutdown` to end.
+                let mut open: Vec<Weak<TcpStream>> = Vec::new();
                 while !daemon.quit.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((stream, _)) => {
@@ -370,18 +383,24 @@ fn main() -> ExitCode {
                             // flushes must leave at once, not wait for
                             // Nagle's algorithm and the peer's delayed ACK.
                             let _ = stream.set_nodelay(true);
+                            let stream = Arc::new(stream);
+                            open.retain(|conn| conn.strong_count() > 0);
+                            open.push(Arc::downgrade(&stream));
                             let daemon = Arc::clone(&daemon);
-                            scope.spawn(move || {
-                                let reader =
-                                    BufReader::new(stream.try_clone().expect("clone stream"));
-                                daemon.pump(reader, stream);
-                            });
+                            // One descriptor per connection, read and
+                            // written through shared references.
+                            scope.spawn(move || daemon.pump(BufReader::new(&*stream), &*stream));
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => continue,
+                        // No connection waiting, or none that can be taken
+                        // now (out of descriptors, say): retrying at once
+                        // would spin on the same error.
+                        Err(_) => std::thread::sleep(Duration::from_millis(25)),
                     }
+                }
+                // Each other client's pump reads end of input, writes the
+                // replies it owes and returns, so the scope can end.
+                for conn in open.iter().filter_map(Weak::upgrade) {
+                    let _ = conn.shutdown(Shutdown::Read);
                 }
             });
         }

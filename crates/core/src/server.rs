@@ -50,6 +50,19 @@
 //! misses are submitted to the batcher (and parsed again there: a few µs
 //! at most, against at least 100 µs of planning).
 //!
+//! `answer_now` first looks the line's body (everything after the id) up
+//! in the server's reply memo, which maps a body to the `ok` payload it
+//! was last answered with at read time. A hit is the reply `<id>
+//! <payload>`, made without parsing the body, looking it up in the plan
+//! caches or formatting a payload: a warm daemon answers a repeated body
+//! at the cost of one hash lookup. A body is memoized when `answer_now`
+//! answers it `ok` from the plan caches (or it is `ping` or `score`); a
+//! parse error, an `err internal` and a line the batcher answers are not.
+//! A payload depends only on the parsed body and the plan caches never
+//! change a value once set, so a memoized payload cannot go stale. The
+//! memo holds at most [`REPLY_MEMO_BYTES`] of bodies and payloads: an
+//! insert that would pass that first empties it.
+//!
 //! [`run_batch_loop`] group-commits: it blocks for the first request, takes
 //! every request already queued behind it (up to `max_batch`) as one
 //! batch, answers it, and repeats. There is no timer: a batch is whatever
@@ -75,9 +88,9 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use fusecu_dataflow::{CostModel, Dataflow, LoopNest, Tiling};
+use fusecu_dataflow::{CostModel, Dataflow, LoopNest, MemoCache, SectionCounters, Tiling};
 use fusecu_fusion::graph_planner::{try_plan_dag_cached, try_plan_dag_if_cached, GraphPlan};
 use fusecu_fusion::planner::{try_plan_chain_cached, try_plan_chain_if_cached, ChainPlan};
 use fusecu_ir::{FuseLink, MatMul, MmChain, MmDag, MmDim, NodeId};
@@ -105,6 +118,12 @@ pub const MAX_WORK: u64 = 1 << 48;
 /// links is about 4 KiB). `serve` answers a longer line `err too-large`
 /// without holding more than this much of it.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+/// Bytes of request bodies plus payloads a [`Server`]'s reply memo holds
+/// before an insert that would pass this empties it: about 26 times the
+/// 40 KB the 426-query warm catalog memoizes. A body longer than this on
+/// its own is never memoized. The map's own bookkeeping (a cell and two
+/// allocations per entry) comes on top.
+pub const REPLY_MEMO_BYTES: usize = 1 << 20;
 
 /// A parsed, validated request body (everything after the id token).
 ///
@@ -281,11 +300,7 @@ impl Request {
     /// off). Every byte of the body is consumed; trailing tokens are an
     /// error.
     pub fn parse(body: &str) -> Result<Request, ParseError> {
-        Request::parse_tokens(body.split_whitespace())
-    }
-
-    /// [`Request::parse`] of the body whose tokens `toks` has left.
-    fn parse_tokens(mut toks: std::str::SplitWhitespace<'_>) -> Result<Request, ParseError> {
+        let mut toks = body.split_whitespace();
         let verb = toks.next().ok_or(ParseError::Empty)?;
         let req = match verb {
             "ping" => Request::Ping,
@@ -434,7 +449,8 @@ impl Request {
     }
 }
 
-/// Monotonic counters of one [`Server`]'s lifetime, all lock-free.
+/// Monotonic counters of one [`Server`]'s lifetime, all lock-free. The
+/// reply memo keeps its own ([`Server::replies`]).
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Request lines received (well-formed or not), each counted once:
@@ -450,11 +466,13 @@ pub struct ServerStats {
     /// counted by the caches themselves).
     pub deduped: AtomicU64,
     /// Queries answered by evaluation: each line answered at read time
-    /// that parsed, and each distinct query of a batch.
-    pub computed: AtomicU64,
-    /// Queries answered without planning — cache hits, `ping` and `score`:
-    /// each such line answered at read time, and each such distinct
+    /// that parsed (or whose body the reply memo held), and each distinct
     /// query of a batch.
+    pub computed: AtomicU64,
+    /// Queries answered without planning — reply-memo hits, cache hits,
+    /// `ping` and `score`: each such line answered at read time, and each
+    /// such distinct query of a batch. A reply-memo hit is counted here
+    /// and by [`Server::replies`], and by no plan cache.
     pub inline: AtomicU64,
     /// Distinct batch queries that missed the cache and were planned
     /// through the parallel engine.
@@ -477,13 +495,23 @@ impl ServerStats {
     }
 }
 
-/// The optimizer service: stateless request evaluation over the
-/// process-wide memo caches, plus batch dedup. Cheap to share behind an
-/// [`Arc`]; all state is the global caches and the atomic counters.
+/// The optimizer service: request evaluation over the process-wide memo
+/// caches, batch dedup, and a reply memo for [`Server::answer_now`]. Cheap
+/// to share behind an [`Arc`]; its own state is the reply memo and the
+/// atomic counters.
 #[derive(Debug)]
 pub struct Server {
     parallelism: Parallelism,
     stats: ServerStats,
+    /// Request body (the line after its id) to the `ok` payload
+    /// [`Server::answer_now`] answered it with. A payload depends only on
+    /// the parsed body, and the plan caches never change a value once set,
+    /// so a memoized payload cannot go stale.
+    replies: MemoCache<Box<str>, Box<str>>,
+    /// Bytes of bodies plus payloads in `replies`, at most
+    /// [`REPLY_MEMO_BYTES`]; held across each insert and eviction, so it
+    /// is exact.
+    reply_bytes: Mutex<usize>,
 }
 
 impl Server {
@@ -493,12 +521,20 @@ impl Server {
         Server {
             parallelism,
             stats: ServerStats::default(),
+            replies: MemoCache::new(),
+            reply_bytes: Mutex::new(0),
         }
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> &ServerStats {
         &self.stats
+    }
+
+    /// The reply memo's counters: a hit is a line [`Server::answer_now`]
+    /// answered from it, a miss a body it memoized.
+    pub fn replies(&self) -> SectionCounters {
+        self.replies.counters("replies")
     }
 
     /// Evaluates one parsed request to its `ok ...` payload. Deterministic
@@ -574,6 +610,13 @@ impl Server {
     /// cache miss, with nothing computed or counted: the line is for
     /// [`Server::answer_batch`], which parses and counts it then. The
     /// `serve` pump calls this on every request line it reads.
+    ///
+    /// It first looks the line's body up in the reply memo. A hit is
+    /// `<id> <payload>` with no parse, no plan-cache lookup and no
+    /// formatting, counted as a `replies` hit in place of the plan-cache
+    /// hit. Otherwise the line is parsed and answered from the plan caches,
+    /// and an `ok` answer is memoized; a parse error or `err internal`
+    /// never is.
     pub fn answer_now(&self, line: &str) -> Option<String> {
         self.answer_now_with(line, |req, out| self.eval_if_cached(req, out))
     }
@@ -586,37 +629,74 @@ impl Server {
         line: &str,
         cached: impl FnOnce(&Request, &mut String) -> bool,
     ) -> Option<String> {
-        let reply = match self.parse_line(line) {
-            Ok((id, req)) => {
-                let mut reply = reply_head(id);
-                if isolated(&mut reply, |out| cached(&req, out)) == Some(false) {
-                    return None;
+        let reply = match split_line(line) {
+            Some((id, body)) => match self.replies.get(body, |payload| reply_head(id) + payload) {
+                Some(reply) => {
+                    self.stats.computed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.inline.fetch_add(1, Ordering::Relaxed);
+                    reply
                 }
-                self.stats.computed.fetch_add(1, Ordering::Relaxed);
-                self.stats.inline.fetch_add(1, Ordering::Relaxed);
-                reply
-            }
-            Err(reply) => reply,
+                None => match self.parse_body(id, body) {
+                    Ok(req) => {
+                        let mut reply = reply_head(id);
+                        match isolated(&mut reply, |out| cached(&req, out)) {
+                            Some(false) => return None,
+                            Some(true) => self.memoize(body, &reply[id.len() + 1..]),
+                            None => {}
+                        }
+                        self.stats.computed.fetch_add(1, Ordering::Relaxed);
+                        self.stats.inline.fetch_add(1, Ordering::Relaxed);
+                        reply
+                    }
+                    Err(reply) => reply,
+                },
+            },
+            None => self.empty_line(),
         };
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         Some(reply)
+    }
+
+    /// Puts `body`'s `ok` payload in the reply memo, first emptying the
+    /// memo if the pair would take it past [`REPLY_MEMO_BYTES`].
+    fn memoize(&self, body: &str, payload: &str) {
+        let size = body.len() + payload.len();
+        if size > REPLY_MEMO_BYTES {
+            return;
+        }
+        let mut held = self.reply_bytes.lock().expect("reply memo size poisoned");
+        if *held + size > REPLY_MEMO_BYTES {
+            self.replies.evict_all();
+            *held = 0;
+        }
+        if self.replies.insert(body.into(), payload.into()) {
+            *held += size;
+        }
     }
 
     /// Splits a raw line into its id (the first token) and parsed body
     /// (the rest), or returns the `err` reply for it (counted as a parse
     /// error).
     fn parse_line<'a>(&self, line: &'a str) -> Result<(&'a str, Request), String> {
-        let mut toks = line.split_whitespace();
-        let Some(id) = toks.next() else {
+        match split_line(line) {
+            Some((id, body)) => self.parse_body(id, body).map(|req| (id, req)),
+            None => Err(self.empty_line()),
+        }
+    }
+
+    /// The parsed `body` of the line with id `id`, or the `err` reply for
+    /// it (counted as a parse error).
+    fn parse_body(&self, id: &str, body: &str) -> Result<Request, String> {
+        Request::parse(body).map_err(|e| {
             self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return Err("- err empty".to_string());
-        };
-        Request::parse_tokens(toks)
-            .map(|req| (id, req))
-            .map_err(|e| {
-                self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                format!("{id} err {}", e.code())
-            })
+            format!("{id} err {}", e.code())
+        })
+    }
+
+    /// The reply to a line with no id, counted as a parse error.
+    fn empty_line(&self) -> String {
+        self.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+        "- err empty".to_string()
     }
 
     /// Answers a batch of raw request lines, deduplicating on the parsed
@@ -718,6 +798,18 @@ impl Server {
 /// `optimize-op` one with a 20-digit memory access and 8-digit tiles, is
 /// 69 bytes.
 const PAYLOAD_CAPACITY: usize = 72;
+
+/// A line's id (its first token) and body (the rest, from its second
+/// token on): what `trim()` then `split_once(char::is_whitespace)` splits
+/// it into, with the body's leading whitespace trimmed. A line of one
+/// token has the empty body; a blank line has no id.
+fn split_line(line: &str) -> Option<(&str, &str)> {
+    let line = line.trim();
+    match line.split_once(char::is_whitespace) {
+        Some((id, body)) => Some((id, body.trim_start())),
+        None => (!line.is_empty()).then_some((line, "")),
+    }
+}
 
 /// A reply line's `<id> `, with room for its payload.
 fn reply_head(id: &str) -> String {
@@ -1101,6 +1193,57 @@ mod tests {
         for line in [lines[0], lines[2]] {
             assert_eq!(s.answer_now(line), Some(reference.answer_line(line)));
         }
+    }
+
+    /// Bytes of bodies plus payloads in a server's reply memo.
+    fn memo_bytes(s: &Server) -> usize {
+        let entries = s.replies.snapshot();
+        entries
+            .iter()
+            .map(|(body, payload)| body.len() + payload.len())
+            .sum()
+    }
+
+    #[test]
+    fn the_reply_memo_stays_under_its_budget_and_skips_panicked_answers() {
+        let s = server();
+        let reference = server();
+        // Distinct `score` bodies of about 1/8 of the budget each, padded
+        // with spaces, each answered twice: a fill, then a hit.
+        let pad = REPLY_MEMO_BYTES / 8;
+        for i in 0..40 {
+            let line = format!(
+                "{i} score {} 8 8 mkl 1 1 1{}rw",
+                8 + i % 5,
+                " ".repeat(pad + i)
+            );
+            for _ in 0..2 {
+                assert_eq!(s.answer_now(&line), Some(reference.answer_line(&line)));
+                assert!(memo_bytes(&s) <= REPLY_MEMO_BYTES);
+            }
+        }
+        let memo = s.replies();
+        assert_eq!((memo.stats.hits, memo.stats.misses), (40, 40));
+        assert!(memo.evictions > 0, "{memo:?}");
+        assert!(memo.entries <= 8, "{memo:?}");
+        assert_eq!(*s.reply_bytes.lock().unwrap(), memo_bytes(&s));
+
+        // A line whose answer panicked is answered `err internal` and not
+        // memoized: the next line with its body is answered in full.
+        let body = "score 9 9 9 mkl 1 1 1 rw";
+        let boom = |_: &Request, _: &mut String| -> bool { panic!("injected panic") };
+        assert_eq!(
+            s.answer_now_with(&format!("p {body}"), boom).as_deref(),
+            Some("p err internal")
+        );
+        assert_eq!(s.replies().stats, memo.stats);
+        assert_eq!(s.replies().entries, memo.entries);
+        for id in ["q", "r"] {
+            let line = format!("{id} {body}");
+            assert_eq!(s.answer_now(&line), Some(reference.answer_line(&line)));
+        }
+        assert_eq!(s.replies().stats.misses, memo.stats.misses + 1);
+        assert_eq!(s.replies().stats.hits, memo.stats.hits + 1);
     }
 
     #[test]

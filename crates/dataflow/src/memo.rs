@@ -14,6 +14,7 @@
 //! *processes* — not just repeated points within one process — skip
 //! recomputation.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -130,7 +131,9 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<OnceLock<V>>>> {
+    /// The shard of `key`. A borrowed form of a key hashes as the key
+    /// does (the [`Borrow`] contract), so it finds the same shard.
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<HashMap<K, Arc<OnceLock<V>>>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % SHARDS]
@@ -165,8 +168,14 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
     /// (absent, or still being computed by another thread). The miss is
     /// left to the [`MemoCache::get_or_compute`] that follows, so a `get`
     /// then `get_or_compute` pair counts exactly what `get_or_compute`
-    /// alone would. `read` runs without the shard lock held.
-    pub fn get<R>(&self, key: &K, read: impl FnOnce(&V) -> R) -> Option<R> {
+    /// alone would. `read` runs without the shard lock held. `key` may be
+    /// any borrowed form of `K`, as in [`HashMap::get`], so a lookup need
+    /// not build an owned key.
+    pub fn get<Q, R>(&self, key: &Q, read: impl FnOnce(&V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let cell = {
             let shard = self.shard(key).lock().expect("cache shard poisoned");
             Arc::clone(shard.get(key)?)
@@ -174,6 +183,22 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
         let value = cell.get()?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(read(value))
+    }
+
+    /// Stores `value`, computed by the caller after a [`MemoCache::get`]
+    /// found nothing, under `key` and counts the miss. Returns `false`, with
+    /// nothing stored or counted, when `key` already has a value or one is
+    /// being computed.
+    pub fn insert(&self, key: K, value: V) -> bool {
+        let cell = {
+            let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+            Arc::clone(shard.entry(key).or_default())
+        };
+        let inserted = cell.set(value).is_ok();
+        if inserted {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        inserted
     }
 
     /// Number of cached entries.
@@ -278,6 +303,16 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
     }
 }
 
+impl<K, V> fmt::Debug for MemoCache<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MemoCache")
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .field("evictions", &self.evictions)
+            .finish_non_exhaustive()
+    }
+}
+
 impl<K: Eq + Hash, V: Clone> Default for MemoCache<K, V> {
     fn default() -> MemoCache<K, V> {
         MemoCache::new()
@@ -318,6 +353,39 @@ mod tests {
         assert_eq!(cache.get(&8, |v| *v), None);
         // The same counts as `get_or_compute` twice on 7 and not yet on 8.
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn get_by_borrowed_key_counts_as_get_by_owned_key() {
+        let keys = ["ping", "score 8 8 8 mkl 1 1 1 rw", ""];
+        let owned: MemoCache<Box<str>, usize> = MemoCache::new();
+        let borrowed: MemoCache<Box<str>, usize> = MemoCache::new();
+        for cache in [&owned, &borrowed] {
+            for (i, key) in keys.iter().enumerate() {
+                cache.get_or_compute(Box::from(*key), || i);
+            }
+        }
+        for (want, key) in [Some(0), Some(1), Some(2), None, None]
+            .into_iter()
+            .zip(keys.into_iter().chain(["pong", "score"]))
+        {
+            assert_eq!(owned.get(&Box::<str>::from(key), |v| *v), want, "{key:?}");
+            assert_eq!(borrowed.get(key, |v| *v), want, "{key:?}");
+        }
+        // Three hits each; a lookup that finds nothing counts nothing.
+        assert_eq!(owned.stats(), CacheStats { hits: 3, misses: 3 });
+        assert_eq!(borrowed.stats(), owned.stats());
+    }
+
+    #[test]
+    fn insert_counts_a_miss_once_per_key() {
+        let cache: MemoCache<u64, u64> = MemoCache::new();
+        assert_eq!(cache.get(&3, |v| *v), None);
+        assert!(cache.insert(3, 9));
+        assert!(!cache.insert(3, 10), "a stored value is kept");
+        assert_eq!(cache.get(&3, |v| *v), Some(9));
+        assert_eq!(cache.get_or_compute(3, || unreachable!()), 9);
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
     }
 
     #[test]

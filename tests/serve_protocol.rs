@@ -286,6 +286,53 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A line is answered at read time, then the same body under a second
+    /// id, which the reply memo answers; both replies equal `answer_line`'s.
+    /// Ids are drawn from the characters of `LINE_CHARS` that are not
+    /// whitespace, and the gaps around and between tokens from those that
+    /// are.
+    #[test]
+    fn a_repeated_body_is_answered_from_the_memo_as_serially(
+        verb in 0usize..5,
+        raw in proptest::collection::vec(any::<u64>(), 9..10),
+        ids in proptest::collection::vec(
+            proptest::collection::vec(0usize..LINE_CHARS.len(), 1..6),
+            2..3,
+        ),
+        gaps in proptest::collection::vec(
+            proptest::collection::vec(0usize..LINE_CHARS.len(), 1..4),
+            32..33,
+        ),
+    ) {
+        let (spaces, marks): (Vec<char>, Vec<char>) =
+            LINE_CHARS.iter().partition(|c| c.is_whitespace());
+        let id = |i: usize| -> String { ids[i].iter().map(|&c| marks[c % marks.len()]).collect() };
+        let mut gaps = gaps
+            .iter()
+            .map(|gap| gap.iter().map(|&c| spaces[c % spaces.len()]).collect::<String>());
+        let mut first = gaps.next().unwrap_or_default() + &id(0);
+        for token in body_from(verb, &raw).split(' ') {
+            first += &gaps.next().unwrap_or_else(|| " ".to_string());
+            first += token;
+        }
+        first += &gaps.next().unwrap_or_default();
+        let (_, body) = first.trim().split_once(char::is_whitespace).expect("a body");
+        let second = format!("{} {}", id(1), body.trim_start());
+
+        let reference = Server::new(Parallelism::Serial);
+        let want = [reference.answer_line(&first), reference.answer_line(&second)];
+        let server = Server::new(Parallelism::Serial);
+        prop_assert_eq!(server.answer_now(&first), Some(want[0].clone()));
+        let filled = server.replies().stats;
+        prop_assert_eq!(server.answer_now(&second), Some(want[1].clone()));
+        prop_assert_eq!(filled.misses, 1);
+        prop_assert_eq!(server.replies().stats.hits, filled.hits + 1);
+    }
+}
+
 /// Every Unicode space separates an id from its verb, as it did when the
 /// line was split with `char::is_whitespace`.
 #[test]

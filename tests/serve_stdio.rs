@@ -1,8 +1,8 @@
 //! The `serve` daemon over stdio, end to end: a real process answering a
 //! large pipelined write, then closed-loop pings, then EOF; a client that
 //! sends bytes which are not UTF-8, or a line far over the length cap;
-//! and the split between lines answered as they are read and lines sent
-//! to the batcher, seen through `stats`.
+//! and the split between lines answered as they are read, from the reply
+//! memo or not, and lines sent to the batcher, seen through `stats`.
 //!
 //! The daemon answers a line that needs no planning as it reads it, sends
 //! only cache misses to the batcher, keeps one reply stream per client
@@ -336,12 +336,32 @@ fn a_warm_round_is_answered_as_it_is_read_without_a_batch() {
     };
     let cold = round("c ");
     let warm = round("w ");
-    let moved = |path: &[&str]| counter(&warm, path) - counter(&cold, path);
+    let again = round("a ");
+    let moved = |from: &str, to: &str, path: &[&str]| counter(to, path) - counter(from, path);
     let n = bodies.len() as u64;
-    assert_eq!(moved(&["server", "batches"]), 0, "{cold}\n{warm}");
-    assert_eq!(moved(&["server", "inline"]), n, "{cold}\n{warm}");
-    assert_eq!(moved(&["server", "requests"]), n, "{cold}\n{warm}");
-    assert!(counter(&cold, &["server", "fanned_out"]) > 0, "{cold}");
+    let planned = counter(&cold, &["server", "fanned_out"]);
+    assert!(planned > 0, "{cold}");
+    for to in [&warm, &again] {
+        assert_eq!(moved(&cold, to, &["server", "batches"]), 0, "{cold}\n{to}");
+    }
+    for (from, to) in [(&cold, &warm), (&warm, &again)] {
+        assert_eq!(moved(from, to, &["server", "inline"]), n, "{from}\n{to}");
+        assert_eq!(moved(from, to, &["server", "requests"]), n, "{from}\n{to}");
+    }
+    // The batcher fills no reply memo: the second round parses each body
+    // it planned, and memoizes it; the third round parses nothing.
+    assert_eq!(
+        moved(&cold, &warm, &["replies", "misses"]),
+        planned,
+        "{warm}"
+    );
+    assert_eq!(
+        moved(&cold, &warm, &["replies", "hits"]),
+        n - planned,
+        "{warm}"
+    );
+    assert_eq!(moved(&warm, &again, &["replies", "hits"]), n, "{again}");
+    assert_eq!(moved(&warm, &again, &["replies", "misses"]), 0, "{again}");
 
     drop(stdin);
     let status = daemon.0.wait().expect("wait for serve");
