@@ -1,34 +1,26 @@
-//! Simulator-throughput benchmark: cells/s of the cycle-level array core
-//! and genomes/s of simulated-fitness scoring, at a fixed seed.
+//! Simulator-throughput benchmark: genomes/s of simulated-fitness scoring
+//! on three engines, and cells/s of the cycle-level array core, at a fixed
+//! seed.
 //!
 //! Writes `BENCH_sim.json` (repo root by default, `--out <path>` to
-//! override) with six sections measured in one process on one machine:
+//! override) with three engine sections measured in one process on one
+//! machine:
 //!
-//! * `baseline` — the frozen pre-refactor replay engine (verbatim copies
-//!   of the old allocating drivers, preserved in [`legacy`] below), scored
-//!   the way the old `Fitness::Simulated` backend did: operands
-//!   materialized, a fresh output matrix and fresh tiles per genome.
-//! * `full` — the live engine in `SimMode::Full`: same data movement,
-//!   shared scratch arenas across genome replays.
-//! * `naive` — the frozen naive counters-only walk
-//!   (`driver::oracle`): one residency check per slot per innermost body.
-//!   This was the `TrafficOnly` engine before strength reduction.
-//! * `walk` — the hoisted accounting walk (`measure_nest_walk` /
-//!   `measure_fused_nest_walk`): residency checks moved to the loop
-//!   levels where residency can change.
-//! * `full_macro` — the wavefront macro-step tier: `SimMode::FullMacro`
-//!   through the scorers. The single value replay is hoisted into the
-//!   scorer (computed once, differentially pinned against the per-cycle
-//!   oracle by `macro_step_differential`), so per-genome scoring is the
-//!   closed form with the full engine's semantics.
-//! * `fast` — the live default: `SimMode::TrafficOnly` through the
-//!   scorers, which now resolve to the closed-form `measure_nest` /
-//!   `measure_fused_nest` (no tile loops at all).
+//! * `full` — `SimMode::Full` through the scorers: every genome replays
+//!   its tiles on real operands with golden tile kernels, measuring
+//!   traffic on the naive accounting walk;
+//! * `macro` — the macro tier's drivers (`execute_nest_macro_with` /
+//!   `execute_fused_nest_macro_with`) per genome, one `SimScratch` per
+//!   worker: the product in one direct kernel pass per matmul, the
+//!   counters from the closed form;
+//! * `fast` — the default `SimMode::TrafficOnly` through the scorers: the
+//!   closed form alone.
 //!
-//! Every section scores the *same* fixed genome populations, and the
-//! score digests are asserted byte-identical across all six engines —
-//! the before/after is honest and self-checking. `--quick` shrinks the
-//! repetition counts for CI.
+//! Every section scores the *same* fixed genome populations, and each
+//! engine's score digest must equal the naive oracle's
+//! (`driver::oracle`), computed once and untimed — the comparison is
+//! honest and self-checking. `cells_per_s` times raw systolic stepping
+//! through one 16×16 CU. `--quick` shrinks the repetition counts for CI.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -39,17 +31,13 @@ use fusecu_fusion::{FusedNest, FusedPair, FusedTiling};
 use fusecu_ir::MatMul;
 use fusecu_search::space::balanced_tiles;
 use fusecu_search::{par_sum_indexed, Fitness, FusedScorer, NestScorer, Parallelism};
-use fusecu_sim::driver::{measure_fused_nest_walk, measure_nest_walk, oracle};
-use fusecu_sim::{CuArray, Matrix, SimMode};
+use fusecu_sim::driver::{execute_fused_nest_macro_with, execute_nest_macro_with, oracle};
+use fusecu_sim::{CuArray, Matrix, SimMode, SimScratch};
 
 /// The paper's per-visit accounting, as used by the simulated fitness.
 const MODEL: CostModel = CostModel {
     partial_sums: fusecu_dataflow::PartialSumPolicy::PerVisit,
 };
-
-/// Operand seed base — the same constants the search crate's scorers use,
-/// so the legacy engine scores the exact pre-refactor workload.
-const OPERAND_SEED: u64 = 0x00F1_7E55;
 
 /// The single-operator shape scored: the heavy-GA conformance workload.
 fn nest_mm() -> MatMul {
@@ -59,141 +47,6 @@ fn nest_mm() -> MatMul {
 /// The fused pair scored.
 fn fused_pair() -> FusedPair {
     FusedPair::try_new(MatMul::new(32, 24, 40), MatMul::new(32, 40, 16)).unwrap()
-}
-
-/// The frozen pre-refactor engine, preserved verbatim from the seed's
-/// `driver.rs` (modulo the public `Matrix` API it already used). This is
-/// the "before" in every before/after pair this benchmark records: a
-/// fresh output allocation per replay, fresh `tile()`/`matmul()`
-/// allocations per innermost iteration.
-mod legacy {
-    use fusecu_dataflow::{LoopNest, MemoryAccess};
-    use fusecu_fusion::{ExtTensor, FusedDim, FusedNest, FusedPair};
-    use fusecu_ir::{MatMul, MmDim, Operand};
-    use fusecu_sim::Matrix;
-
-    pub fn execute_nest(a: &Matrix, b: &Matrix, mm: MatMul, nest: &LoopNest) -> MemoryAccess {
-        assert_eq!((a.rows() as u64, a.cols() as u64), (mm.m(), mm.k()));
-        assert_eq!((b.rows() as u64, b.cols() as u64), (mm.k(), mm.l()));
-        let n_of = |d: MmDim| nest.tiling.iterations(mm, d) as usize;
-        let t_of = |d: MmDim| nest.tiling.tile(d).min(mm.dim(d)) as usize;
-        let span = |d: MmDim, i: usize| {
-            let t = t_of(d);
-            t.min(mm.dim(d) as usize - i * t)
-        };
-        let counts = nest.order.map(n_of);
-
-        let mut out = Matrix::zero(mm.m() as usize, mm.l() as usize);
-        let mut traffic = [0u64; 3]; // A, B, C
-        let mut resident: [Option<(usize, usize)>; 3] = [None; 3];
-
-        for i0 in 0..counts[0] {
-            for i1 in 0..counts[1] {
-                for i2 in 0..counts[2] {
-                    let iter = [i0, i1, i2];
-                    let at =
-                        |d: MmDim| iter[nest.order.iter().position(|x| *x == d).unwrap()];
-                    let (im, ik, il) = (at(MmDim::M), at(MmDim::K), at(MmDim::L));
-                    for (slot, op) in Operand::ALL.iter().enumerate() {
-                        let [da, db] = op.dims();
-                        let key = (at(da), at(db));
-                        if resident[slot] != Some(key) {
-                            traffic[slot] += (span(da, key.0) * span(db, key.1)) as u64;
-                            resident[slot] = Some(key);
-                        }
-                    }
-                    let a_tile = a.tile(
-                        im * t_of(MmDim::M),
-                        ik * t_of(MmDim::K),
-                        t_of(MmDim::M),
-                        t_of(MmDim::K),
-                    );
-                    let b_tile = b.tile(
-                        ik * t_of(MmDim::K),
-                        il * t_of(MmDim::L),
-                        t_of(MmDim::K),
-                        t_of(MmDim::L),
-                    );
-                    out.add_tile(
-                        im * t_of(MmDim::M),
-                        il * t_of(MmDim::L),
-                        &a_tile.matmul(&b_tile),
-                    );
-                }
-            }
-        }
-        MemoryAccess::new(traffic[0], traffic[1], traffic[2])
-    }
-
-    pub fn execute_fused_nest(
-        a: &Matrix,
-        b: &Matrix,
-        d: &Matrix,
-        pair: &FusedPair,
-        nest: &FusedNest,
-    ) -> [u64; 4] {
-        let dims = |t: FusedDim| pair.dim(t) as usize;
-        assert_eq!((a.rows(), a.cols()), (dims(FusedDim::M), dims(FusedDim::K)));
-        assert_eq!((b.rows(), b.cols()), (dims(FusedDim::K), dims(FusedDim::L)));
-        assert_eq!((d.rows(), d.cols()), (dims(FusedDim::L), dims(FusedDim::N)));
-        let tile = |t: FusedDim| nest.tiling.clamped_tile(pair, t) as usize;
-        let iters = |t: FusedDim| nest.tiling.iterations(pair, t) as usize;
-        let span = |t: FusedDim, i: usize| tile(t).min(dims(t) - i * tile(t));
-
-        let [s0, s1] = nest.shared_order();
-        let mut out = Matrix::zero(dims(FusedDim::M), dims(FusedDim::N));
-        let mut traffic = [0u64; 4];
-        let mut resident: [Option<(usize, usize)>; 4] = [None; 4];
-        let mut touch = |slot: usize, t: ExtTensor, key: (usize, usize)| {
-            if resident[slot] != Some(key) {
-                let [da, db] = t.dims();
-                let sa = tile(da).min(dims(da) - key.0 * tile(da));
-                let sb = tile(db).min(dims(db) - key.1 * tile(db));
-                traffic[slot] += (sa * sb) as u64;
-                resident[slot] = Some(key);
-            }
-        };
-
-        for i0 in 0..iters(s0) {
-            for i1 in 0..iters(s1) {
-                let (im, il) = if s0 == FusedDim::M { (i0, i1) } else { (i1, i0) };
-                let mut c_tile = Matrix::zero(span(FusedDim::M, im), span(FusedDim::L, il));
-                for ik in 0..iters(FusedDim::K) {
-                    touch(0, ExtTensor::A, (im, ik));
-                    touch(1, ExtTensor::B, (ik, il));
-                    let a_t = a.tile(
-                        im * tile(FusedDim::M),
-                        ik * tile(FusedDim::K),
-                        tile(FusedDim::M),
-                        tile(FusedDim::K),
-                    );
-                    let b_t = b.tile(
-                        ik * tile(FusedDim::K),
-                        il * tile(FusedDim::L),
-                        tile(FusedDim::K),
-                        tile(FusedDim::L),
-                    );
-                    c_tile.add_tile(0, 0, &a_t.matmul(&b_t));
-                }
-                for inn in 0..iters(FusedDim::N) {
-                    touch(2, ExtTensor::D, (il, inn));
-                    touch(3, ExtTensor::E, (im, inn));
-                    let d_t = d.tile(
-                        il * tile(FusedDim::L),
-                        inn * tile(FusedDim::N),
-                        tile(FusedDim::L),
-                        tile(FusedDim::N),
-                    );
-                    out.add_tile(
-                        im * tile(FusedDim::M),
-                        inn * tile(FusedDim::N),
-                        &c_tile.matmul(&d_t),
-                    );
-                }
-            }
-        }
-        traffic
-    }
 }
 
 /// Deterministic xorshift64* stream for genome picking.
@@ -253,69 +106,24 @@ fn fused_genomes(count: usize) -> Vec<FusedNest> {
 }
 
 /// Cells/s of the raw systolic core: PE updates per wall-clock second
-/// while streaming WS tiles through one 16×16 CU. With `alloc_per_cycle`
-/// every cycle allocates its wavefront and wire vectors afresh — the
-/// pre-refactor per-cycle allocation pattern, kept alive here on purpose
-/// as the "before" — otherwise the stream goes through the hoisted
-/// allocation-free `step_into` path (`run_ws`).
-fn bench_cells_per_s(reps: usize, alloc_per_cycle: bool) -> f64 {
+/// while streaming WS tiles through one 16×16 CU (`run_ws`).
+fn bench_cells_per_s(reps: usize) -> f64 {
     let n = 16usize;
-    let (m, k, l) = (64usize, n, n);
-    let a = Matrix::pseudo_random(m, k, 1);
-    let b = Matrix::pseudo_random(k, l, 2);
+    let a = Matrix::pseudo_random(64, n, 1);
+    let b = Matrix::pseudo_random(n, n, 2);
     let mut cu = CuArray::new(n, Stationary::Ws);
 
-    let run_alloc = |cu: &mut CuArray| -> (Matrix, u64) {
-        cu.clear();
-        cu.load_stationary(&b);
-        let mut out = Matrix::zero(m, l);
-        let total = m + n + n + 2;
-        for t in 0..total {
-            let west: Vec<i64> = (0..n)
-                .map(|row_k| {
-                    let mi = t as i64 - row_k as i64;
-                    if row_k < k && mi >= 0 && (mi as usize) < m {
-                        a[(mi as usize, row_k)]
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let north = vec![0; n];
-            let mut east = vec![0; n];
-            let mut south = vec![0; n];
-            cu.step_into(&west, &north, &mut east, &mut south);
-            for (col_l, v) in south.iter().enumerate() {
-                let mi = t as i64 - (n - 1) as i64 - col_l as i64;
-                if col_l < l && mi >= 0 && (mi as usize) < m {
-                    out[(mi as usize, col_l)] = *v;
-                }
-            }
-        }
-        (out, total as u64)
-    };
-
     // Warm-up pass (buffers sized, caches hot) and reference output.
-    let (warm_out, cycles) = if alloc_per_cycle {
-        run_alloc(&mut cu)
-    } else {
-        let r = cu.run_ws(&a, &b);
-        (r.out, r.cycles)
-    };
-    assert_eq!(warm_out, a.matmul(&b));
-    let cells_per_rep = cycles * (n * n) as u64;
+    let warm = cu.run_ws(&a, &b);
+    assert_eq!(warm.out, a.matmul(&b));
+    let cells_per_rep = warm.cycles * (n * n) as u64;
     let t0 = Instant::now();
     let mut checksum = 0i64;
     for _ in 0..reps {
-        let c00 = if alloc_per_cycle {
-            run_alloc(&mut cu).0[(0, 0)]
-        } else {
-            cu.run_ws(&a, &b).out[(0, 0)]
-        };
-        checksum = checksum.wrapping_add(c00);
+        checksum = checksum.wrapping_add(cu.run_ws(&a, &b).out[(0, 0)]);
     }
     let dt = t0.elapsed().as_secs_f64();
-    assert_eq!(checksum, warm_out[(0, 0)].wrapping_mul(reps as i64));
+    assert_eq!(checksum, warm.out[(0, 0)].wrapping_mul(reps as i64));
     (cells_per_rep * reps as u64) as f64 / dt
 }
 
@@ -482,44 +290,33 @@ fn bench_genome_rows<T: Sync, S>(
 /// One engine's worth of measurements.
 struct EngineRun {
     label: &'static str,
-    cells_per_s: f64,
     nest_rows: Vec<GenomeRow>,
     fused_rows: Vec<GenomeRow>,
     nest_digest: u64,
     fused_digest: u64,
 }
 
-/// Which replay engine a measurement section runs.
+/// Which scoring engine a measurement section runs.
+#[derive(Clone, Copy)]
 enum Engine {
-    /// Frozen pre-refactor drivers with per-genome operand replay.
-    Legacy,
-    /// Live engine, `SimMode::Full` (data movement via shared scratch).
+    /// `SimMode::Full` through the scorers: the tiled replay.
     Full,
-    /// Frozen naive counters-only walk (`driver::oracle`): a residency
-    /// check per slot per innermost body.
-    Naive,
-    /// Hoisted accounting walk: residency charges strength-reduced to
-    /// loop boundaries, bare visit loop innermost.
-    Walk,
-    /// Live engine, `SimMode::FullMacro` — the wavefront macro-step tier
-    /// with the value replay hoisted into the scorer.
-    FullMacro,
-    /// Live engine, default `SimMode::TrafficOnly` — the closed form.
+    /// The macro tier's drivers, one `SimScratch` per worker.
+    Macro,
+    /// The default `SimMode::TrafficOnly` through the scorers: the closed
+    /// form.
     TrafficOnly,
 }
 
 /// Scoring rounds per timed row, calibrated per engine so every row runs
 /// long enough to time honestly: the closed form scores a genome in tens
-/// of nanoseconds while the legacy replay takes fractions of a
-/// millisecond, so a flat round count would either starve the fast
-/// engines of samples or stall the bench on the slow ones.
-fn rounds_for(engine: &Engine, quick: bool) -> usize {
+/// of nanoseconds while a tiled replay takes fractions of a millisecond,
+/// so a flat round count would either starve the fast engine of samples
+/// or stall the bench on the slow one.
+fn rounds_for(engine: Engine, quick: bool) -> usize {
     let full = match engine {
-        Engine::Legacy => 8,
         Engine::Full => 12,
-        Engine::Naive => 512,
-        Engine::Walk => 8_192,
-        Engine::FullMacro => 131_072,
+        Engine::Macro => 64,
         Engine::TrafficOnly => 131_072,
     };
     if quick {
@@ -529,70 +326,62 @@ fn rounds_for(engine: &Engine, quick: bool) -> usize {
     }
 }
 
-fn measure(engine: &Engine, quick: bool, workers: &[usize]) -> EngineRun {
-    let (cell_reps, pop) = if quick { (50, 64) } else { (400, 128) };
+fn measure(
+    engine: Engine,
+    quick: bool,
+    workers: &[usize],
+    nests: &[LoopNest],
+    fused: &[FusedNest],
+) -> EngineRun {
     let rounds = rounds_for(engine, quick);
-    let nests = nest_genomes(pop);
-    let fused = fused_genomes(pop);
-
     let mm = nest_mm();
     let pair = fused_pair();
-    // Operands for the legacy engine (the live scorers own theirs).
-    let a = Matrix::pseudo_random(mm.m() as usize, mm.k() as usize, OPERAND_SEED);
-    let b = Matrix::pseudo_random(mm.k() as usize, mm.l() as usize, OPERAND_SEED + 1);
-    let fd = |t| pair.dim(t) as usize;
-    use fusecu_fusion::FusedDim::{K, L, M, N};
-    let fa = Matrix::pseudo_random(fd(M), fd(K), OPERAND_SEED + 2);
-    let fb = Matrix::pseudo_random(fd(K), fd(L), OPERAND_SEED + 3);
-    let fdm = Matrix::pseudo_random(fd(L), fd(N), OPERAND_SEED + 4);
-
     let mode = match engine {
-        Engine::TrafficOnly => SimMode::TrafficOnly,
-        Engine::FullMacro => SimMode::FullMacro,
-        // Unused for Legacy/Naive/Walk (they score directly below).
-        _ => SimMode::Full,
+        Engine::Full => SimMode::Full,
+        _ => SimMode::TrafficOnly,
     };
     let nest_scorer = NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(mode);
     let fused_scorer = FusedScorer::new(Fitness::Simulated, MODEL, pair).with_sim_mode(mode);
+    // Operands for the macro engine (the scorers own theirs); traffic
+    // never reads the values.
+    use fusecu_fusion::FusedDim::{K, L, M, N};
+    let fd = |t| pair.dim(t) as usize;
+    let a = Matrix::pseudo_random(mm.m() as usize, mm.k() as usize, 1);
+    let b = Matrix::pseudo_random(mm.k() as usize, mm.l() as usize, 2);
+    let fa = Matrix::pseudo_random(fd(M), fd(K), 3);
+    let fb = Matrix::pseudo_random(fd(K), fd(L), 4);
+    let fdm = Matrix::pseudo_random(fd(L), fd(N), 5);
 
-    // Per-worker scoring state: the live engines keep a session (scratch
-    // leased once per worker, not once per genome); the frozen engines
-    // score statelessly and ignore it.
-    let score_nest = |session: &mut fusecu_search::NestSession, n: &LoopNest| -> u64 {
-        match engine {
-            Engine::Legacy => legacy::execute_nest(&a, &b, mm, n).total(),
-            Engine::Naive => oracle::measure_nest(mm, n).total(),
-            Engine::Walk => measure_nest_walk(mm, n).total(),
+    // Per-worker scoring state: a scorer session (scratch leased once per
+    // worker in `SimMode::Full`) and the macro engine's own scratch.
+    let (nest_rows, nest_digest) = bench_genome_rows(
+        nests,
+        rounds,
+        workers,
+        || (nest_scorer.session(), SimScratch::new()),
+        |(session, scratch), n| match engine {
+            Engine::Macro => execute_nest_macro_with(&a, &b, mm, n, scratch).total(),
             _ => session.score(n),
-        }
-    };
-    let score_fused = |session: &mut fusecu_search::FusedSession, n: &FusedNest| -> u64 {
-        match engine {
-            Engine::Legacy => legacy::execute_fused_nest(&fa, &fb, &fdm, &pair, n)
+        },
+    );
+    let (fused_rows, fused_digest) = bench_genome_rows(
+        fused,
+        rounds,
+        workers,
+        || (fused_scorer.session(), SimScratch::new()),
+        |(session, scratch), n| match engine {
+            Engine::Macro => execute_fused_nest_macro_with(&fa, &fb, &fdm, &pair, n, scratch)
                 .iter()
                 .sum(),
-            Engine::Naive => oracle::measure_fused_nest(&pair, n).iter().sum(),
-            Engine::Walk => measure_fused_nest_walk(&pair, n).iter().sum(),
             _ => session.score(n),
-        }
-    };
-
-    let (label, alloc_cells) = match engine {
-        Engine::Legacy => ("baseline", true),
-        Engine::Full => ("full", false),
-        Engine::Naive => ("naive", false),
-        Engine::Walk => ("walk", false),
-        Engine::FullMacro => ("full_macro", false),
-        Engine::TrafficOnly => ("fast", false),
-    };
-    let cells_per_s = bench_cells_per_s(cell_reps, alloc_cells);
-    let (nest_rows, nest_digest) =
-        bench_genome_rows(&nests, rounds, workers, || nest_scorer.session(), score_nest);
-    let (fused_rows, fused_digest) =
-        bench_genome_rows(&fused, rounds, workers, || fused_scorer.session(), score_fused);
+        },
+    );
     EngineRun {
-        label,
-        cells_per_s,
+        label: match engine {
+            Engine::Full => "full",
+            Engine::Macro => "macro",
+            Engine::TrafficOnly => "fast",
+        },
         nest_rows,
         fused_rows,
         nest_digest,
@@ -604,8 +393,8 @@ fn json_for(run: &EngineRun) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "{{\n    \"cells_per_s\": {:.0},\n    \"score_digest\": {{ \"nest\": {}, \"fused\": {} }},\n    \"genomes_per_s\": [",
-        run.cells_per_s, run.nest_digest, run.fused_digest
+        "{{\n    \"score_digest\": {{ \"nest\": {}, \"fused\": {} }},\n    \"genomes_per_s\": [",
+        run.nest_digest, run.fused_digest
     );
     for (i, (n, f)) in run.nest_rows.iter().zip(&run.fused_rows).enumerate() {
         let sep = if i == 0 { "" } else { "," };
@@ -628,27 +417,34 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_sim.json".to_string());
     let workers = [1usize, 2, 4, 8];
+    let (cell_reps, pop) = if quick { (50, 64) } else { (400, 128) };
+    let nests = nest_genomes(pop);
+    let fused = fused_genomes(pop);
 
-    let baseline = measure(&Engine::Legacy, quick, &workers);
-    let full = measure(&Engine::Full, quick, &workers);
-    let naive = measure(&Engine::Naive, quick, &workers);
-    let walk = measure(&Engine::Walk, quick, &workers);
-    let full_macro = measure(&Engine::FullMacro, quick, &workers);
-    let fast = measure(&Engine::TrafficOnly, quick, &workers);
+    // The naive oracle's digests, untimed: the reference every engine
+    // must reproduce.
+    let (mm, pair) = (nest_mm(), fused_pair());
+    let naive_nest = nests.iter().fold(0u64, |acc, n| {
+        acc.wrapping_add(oracle::measure_nest(mm, n).total())
+    });
+    let naive_fused = fused.iter().fold(0u64, |acc, n| {
+        acc.wrapping_add(oracle::measure_fused_nest(&pair, n).iter().sum())
+    });
 
-    // All six engines must score every genome identically — the digest
-    // is the self-check that the before/after compares like with like.
-    for run in [&full, &naive, &walk, &full_macro, &fast] {
+    let cells_per_s = bench_cells_per_s(cell_reps);
+    let runs = [Engine::Full, Engine::Macro, Engine::TrafficOnly]
+        .map(|engine| measure(engine, quick, &workers, &nests, &fused));
+    for run in &runs {
         assert_eq!(
             (run.nest_digest, run.fused_digest),
-            (baseline.nest_digest, baseline.fused_digest),
-            "engine '{}' scores diverged from the frozen baseline",
+            (naive_nest, naive_fused),
+            "engine '{}' scores diverged from the naive oracle",
             run.label
         );
     }
 
-    for run in [&baseline, &full, &naive, &walk, &full_macro, &fast] {
-        eprintln!("[{}] cells/s: {:.3e}", run.label, run.cells_per_s);
+    eprintln!("cells/s: {cells_per_s:.3e}");
+    for run in &runs {
         for (n, f) in run.nest_rows.iter().zip(&run.fused_rows) {
             eprintln!(
                 "[{}] workers={}: nest genomes/s {:.1} (vs_single {:.3}), fused genomes/s {:.1} (vs_single {:.3})",
@@ -657,36 +453,26 @@ fn main() {
         }
     }
 
-    // Headline speedups: single-worker genomes/s, closed-form fast path
-    // vs the frozen full replay and vs the naive counters-only walk it
-    // strength-reduces.
-    let speedup_nest = fast.nest_rows[0].genomes_per_s / baseline.nest_rows[0].genomes_per_s;
-    let speedup_fused = fast.fused_rows[0].genomes_per_s / baseline.fused_rows[0].genomes_per_s;
-    let vs_naive_nest = fast.nest_rows[0].genomes_per_s / naive.nest_rows[0].genomes_per_s;
-    let vs_naive_fused = fast.fused_rows[0].genomes_per_s / naive.fused_rows[0].genomes_per_s;
-    // The macro-step tier vs the per-cycle oracle it replaces on the hot
-    // path — the headline for the wavefront macro-stepping work.
-    let macro_nest = full_macro.nest_rows[0].genomes_per_s / full.nest_rows[0].genomes_per_s;
-    let macro_fused = full_macro.fused_rows[0].genomes_per_s / full.fused_rows[0].genomes_per_s;
-    eprintln!("speedup (1 worker, closed form vs pre-refactor replay): nest {speedup_nest:.1}x, fused {speedup_fused:.1}x");
-    eprintln!("speedup (1 worker, closed form vs naive walk): nest {vs_naive_nest:.1}x, fused {vs_naive_fused:.1}x");
-    eprintln!("speedup (1 worker, macro-step tier vs per-cycle full): nest {macro_nest:.1}x, fused {macro_fused:.1}x");
+    // Headline speedups at one worker: each engine against the next
+    // heavier one.
+    let [full, macro_tier, fast] = &runs;
+    let ratio = |a: &EngineRun, b: &EngineRun| {
+        (
+            a.nest_rows[0].genomes_per_s / b.nest_rows[0].genomes_per_s,
+            a.fused_rows[0].genomes_per_s / b.fused_rows[0].genomes_per_s,
+        )
+    };
+    let (macro_nest, macro_fused) = ratio(macro_tier, full);
+    let (fast_nest, fast_fused) = ratio(fast, macro_tier);
+    eprintln!("speedup (1 worker, macro tier vs tiled full replay): nest {macro_nest:.1}x, fused {macro_fused:.1}x");
+    eprintln!("speedup (1 worker, closed form vs macro tier): nest {fast_nest:.1}x, fused {fast_fused:.1}x");
 
     let json = format!(
-        "{{\n  \"benchmark\": \"sim_throughput\",\n  \"quick\": {quick},\n  \"available_parallelism\": {},\n  \"baseline\": {},\n  \"full\": {},\n  \"naive\": {},\n  \"walk\": {},\n  \"full_macro\": {},\n  \"fast\": {},\n  \"speedup_vs_baseline\": {{ \"nest\": {:.2}, \"fused\": {:.2} }},\n  \"speedup_vs_naive\": {{ \"nest\": {:.2}, \"fused\": {:.2} }},\n  \"speedup_macro_vs_full\": {{ \"nest\": {:.2}, \"fused\": {:.2} }}\n}}\n",
+        "{{\n  \"benchmark\": \"sim_throughput\",\n  \"quick\": {quick},\n  \"available_parallelism\": {},\n  \"cells_per_s\": {cells_per_s:.0},\n  \"naive_digest\": {{ \"nest\": {naive_nest}, \"fused\": {naive_fused} }},\n  \"full\": {},\n  \"macro\": {},\n  \"fast\": {},\n  \"speedup_macro_vs_full\": {{ \"nest\": {macro_nest:.2}, \"fused\": {macro_fused:.2} }},\n  \"speedup_fast_vs_macro\": {{ \"nest\": {fast_nest:.2}, \"fused\": {fast_fused:.2} }}\n}}\n",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        json_for(&baseline),
-        json_for(&full),
-        json_for(&naive),
-        json_for(&walk),
-        json_for(&full_macro),
-        json_for(&fast),
-        speedup_nest,
-        speedup_fused,
-        vs_naive_nest,
-        vs_naive_fused,
-        macro_nest,
-        macro_fused,
+        json_for(full),
+        json_for(macro_tier),
+        json_for(fast),
     );
     std::fs::write(&out, &json).expect("write benchmark output");
     println!("wrote {out}");

@@ -32,7 +32,9 @@
 //!   `ok flushed <entries>`;
 //! * `<id> shutdown` — flush, answer `ok bye`, exit (TCP mode: the whole
 //!   daemon, not just the connection: every other connection stops being
-//!   read, gets the replies it is owed and is closed).
+//!   read, gets the replies it is owed and is closed; replies a client
+//!   has not read within [`SHUTDOWN_GRACE`] are dropped, so a client that
+//!   never reads cannot hold the daemon up).
 //!
 //! In TCP mode each connection holds one descriptor. When `accept` fails,
 //! out of descriptors say, the daemon waits 25 ms before it tries again,
@@ -53,7 +55,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fusecu::pipeline::DiskCacheSession;
 use fusecu::server::{spawn_frontend, BatchConfig, Server, Submission, MAX_LINE_BYTES};
@@ -82,6 +84,11 @@ const REPLY_BUFFER: usize = 64 * 1024;
 /// per 426-line round); holding them until the input ran dry made the
 /// early replies of a round wait for its late ones.
 const REPLY_GROUP: usize = 2 * 1024;
+
+/// How long `shutdown` waits in TCP mode for the other connections to
+/// take the replies they are owed before it closes them both ways. A
+/// writer blocked on a client that does not read then fails with `EPIPE`.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 
 fn die(flag: &str) -> ! {
     eprintln!("fusecu-serve: bad value for {flag}");
@@ -398,9 +405,18 @@ fn main() -> ExitCode {
                     }
                 }
                 // Each other client's pump reads end of input, writes the
-                // replies it owes and returns, so the scope can end.
+                // replies it owes and returns, so the scope can end. One
+                // whose client does not read is closed after the grace.
                 for conn in open.iter().filter_map(Weak::upgrade) {
                     let _ = conn.shutdown(Shutdown::Read);
+                }
+                let deadline = Instant::now() + SHUTDOWN_GRACE;
+                let owed = |conn: &Weak<TcpStream>| conn.strong_count() > 0;
+                while open.iter().any(owed) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                for conn in open.iter().filter_map(Weak::upgrade) {
+                    let _ = conn.shutdown(Shutdown::Both);
                 }
             });
         }

@@ -8,14 +8,13 @@
 //!   millisecond. This is the default and what the paper's DAT baseline
 //!   uses.
 //! * [`Fitness::Simulated`] — each candidate nest is *replayed* on the
-//!   cycle-level fabric drivers and scored by the traffic the replay
-//!   actually measures. With the default [`SimMode::TrafficOnly`] this now
-//!   runs through the driver's closed-form fast path — near-analytical
-//!   speed — while [`SimMode::Full`] keeps the orders-of-magnitude-heavier
+//!   simulator's tiled drivers and scored by the traffic the replay
+//!   measures. With the default [`SimMode::TrafficOnly`] this runs
+//!   through the driver's closed-form fast path — near-analytical speed —
+//!   while [`SimMode::Full`] keeps the orders-of-magnitude-heavier
 //!   data-moving replay that justifies parallel population scoring. Either
-//!   way it closes the loop: the searcher can no longer be fooled by a
-//!   modeling bug, because its objective *is* the machine (the closed form
-//!   is differentially pinned against the frozen naive walk).
+//!   way it closes the loop: the closed form is differentially pinned
+//!   against the naive accounting walk the full replay runs on.
 //! * [`Fitness::Latency`] — score by the arch cycle model instead of
 //!   traffic: `max(compute, DRAM)` cycles of the nest on a given
 //!   [`ArraySpec`] (see `fusecu_arch::latency`). A genuinely different
@@ -23,40 +22,34 @@
 //!   expensive in cycles even when they are cheap in traffic, so latency
 //!   and traffic rank some genome pairs in opposite orders.
 //!
-//! The simulated backend itself has three modes ([`SimMode`]):
+//! The simulated backend itself has two modes ([`SimMode`]):
 //!
-//! * [`SimMode::TrafficOnly`] (the default for `Fitness::Simulated`) runs
-//!   the *identical* replay schedule through [`measure_nest`] /
-//!   [`measure_fused_nest`] but skips all value movement — no operands are
-//!   materialized and scoring allocates nothing. The counters are
-//!   byte-identical to the full replay by construction (both modes share
-//!   one accounting walk), and the sim crate's differential tests prove it.
-//! * [`SimMode::FullMacro`] materializes the operands and computes the
-//!   replay product with the wavefront macro-step engine — but since the
-//!   product is nest-invariant (exact integer arithmetic; only the
-//!   schedule varies per genome), it is hoisted **once per scorer** and
-//!   each genome scores through the closed-form counters, which the sim
-//!   crate proves byte-identical to the per-cycle replay. Full-fidelity
-//!   scores at closed-form speed; scoring allocates nothing and stays
-//!   serial.
-//! * [`SimMode::Full`] moves real tile data through a shared
-//!   [`SimScratch`] arena ([`execute_nest_with`] /
-//!   [`execute_fused_nest_with`]) on *every* genome replay — the frozen
-//!   per-cycle oracle the macro tier is differentially pinned against.
-//!   Scorers keep a [`ScratchPool`] alive across genome replays, so
-//!   steady-state scoring is allocation-free here too: each scoring
-//!   thread checks an arena out, replays into it, and returns it.
+//! * [`SimMode::TrafficOnly`] (the default for `Fitness::Simulated`)
+//!   prices the replay schedule in closed form through [`measure_nest`] /
+//!   [`measure_fused_nest`] and skips all value movement — no operands are
+//!   materialized and scoring allocates nothing. The sim crate's
+//!   differential tests prove its counters equal the naive oracle's.
+//! * [`SimMode::Full`] replays real tile data with golden tile kernels
+//!   through a shared [`SimScratch`](fusecu_sim::SimScratch) arena
+//!   ([`execute_nest_with`] / [`execute_fused_nest_with`]) on *every*
+//!   genome, measuring traffic on the naive accounting walk. It clocks no PE (that is the sim crate's
+//!   `CuArray` / `FuseCuFabric` engine). Scorers keep a [`ScratchPool`]
+//!   alive across genome replays, so steady-state scoring is
+//!   allocation-free here too: each scoring thread checks an arena out,
+//!   replays into it, and returns it.
 //!
 //! The operand values are irrelevant to the score (traffic counting never
 //! looks at the data), so the matrices are seeded deterministically per
-//! shape and shared read-only across scoring threads. For
-//! [`CostModel::paper`] accounting the backends agree exactly on every
-//! feasible nest (the driver tests prove measured == evaluated), so they
-//! induce the same ranking; the simulated backend exists to *keep* that
-//! true as the model evolves, and to catch it the moment it breaks.
+//! shape and shared read-only across scoring threads. The simulator
+//! counts the paper's per-visit traffic, so a simulated scorer requires
+//! [`CostModel::paper`] accounting (its constructors panic otherwise);
+//! under it the backends agree exactly on every feasible nest (the driver
+//! tests prove measured == evaluated), so they induce the same ranking.
+//! The simulated backend exists to *keep* that true as the model evolves,
+//! and to catch it the moment it breaks.
 
 use fusecu_arch::{fused_latency, nest_latency, ArraySpec};
-use fusecu_dataflow::{CostModel, LoopNest};
+use fusecu_dataflow::{CostModel, LoopNest, PartialSumPolicy};
 use fusecu_fusion::{FusedNest, FusedPair};
 use fusecu_ir::MatMul;
 use fusecu_sim::driver::{
@@ -71,9 +64,11 @@ pub enum Fitness {
     #[default]
     Analytical,
     /// Score by traffic measured while replaying the nest on the
-    /// simulated fabric. The default [`SimMode::TrafficOnly`] replay is
-    /// closed-form and cheap; [`SimMode::Full`] moves real data and is
-    /// where parallel scoring pays for itself.
+    /// simulator's tiled drivers. The default [`SimMode::TrafficOnly`]
+    /// replay is closed-form and cheap; [`SimMode::Full`] moves real data
+    /// and is where parallel scoring pays for itself. The simulator counts
+    /// the paper's per-visit traffic only, so the scorers panic when this
+    /// backend is paired with any other [`PartialSumPolicy`].
     Simulated,
     /// Score by the arch cycle model: `max(compute, DRAM)` cycles of the
     /// nest on the given array (`fusecu_arch::latency`). Cheap and
@@ -94,10 +89,7 @@ impl Fitness {
     /// are closed-form, ~tens of nanoseconds per score: cheaper than the
     /// handoff itself, so fanning them out *inverts* into a slowdown
     /// (the 56× parallel-scaling cliff `BENCH_sim.json` recorded).
-    /// [`SimMode::FullMacro`] hoists its one value-replay out of the
-    /// per-genome path entirely, so despite being a full-fidelity mode it
-    /// scores at closed-form cost and sits on the serial side of the
-    /// table. `mode` is ignored by the non-simulated backends.
+    /// `mode` is ignored by the non-simulated backends.
     pub fn prefers_parallel_scoring(self, mode: SimMode) -> bool {
         matches!(self, Fitness::Simulated) && mode == SimMode::Full
     }
@@ -114,15 +106,41 @@ const OPERAND_SEED: u64 = 0x00F1_7E55;
 #[derive(Debug)]
 struct SimBackend<Ops> {
     mode: SimMode,
-    /// `Some` in [`SimMode::Full`] and [`SimMode::FullMacro`];
-    /// `TrafficOnly` never touches data.
+    /// `Some` in [`SimMode::Full`]; `TrafficOnly` never touches data.
     operands: Option<Ops>,
-    /// The replay product, hoisted once per scorer in
-    /// [`SimMode::FullMacro`]: the product is nest-invariant, so the
-    /// macro engine computes it here and the per-genome path runs pure
-    /// closed form.
-    macro_out: Option<Matrix>,
     pool: ScratchPool,
+}
+
+impl<Ops> SimBackend<Ops> {
+    /// The backend for `fitness`, in [`SimMode::TrafficOnly`]; `None`
+    /// unless `fitness` is [`Fitness::Simulated`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Fitness::Simulated`] under any accounting but
+    /// [`PartialSumPolicy::PerVisit`]: the simulator counts per-visit
+    /// traffic only, so it would score a nest differently from `model`.
+    fn for_fitness(fitness: Fitness, model: &CostModel) -> Option<SimBackend<Ops>> {
+        if fitness != Fitness::Simulated {
+            return None;
+        }
+        assert_eq!(
+            model.partial_sums,
+            PartialSumPolicy::PerVisit,
+            "simulated fitness counts per-visit traffic only"
+        );
+        Some(SimBackend {
+            mode: SimMode::TrafficOnly,
+            operands: None,
+            pool: ScratchPool::new(),
+        })
+    }
+
+    /// The scratch lease a session holds: one arena in [`SimMode::Full`],
+    /// none for the closed form.
+    fn lease(&self) -> Option<ScratchLease<'_>> {
+        (self.mode == SimMode::Full).then(|| self.pool.lease())
+    }
 }
 
 /// A per-`optimize()` scorer for single-operator loop nests.
@@ -144,13 +162,14 @@ pub struct NestScorer {
 impl NestScorer {
     /// Builds a scorer for `mm` under `model` with the given backend.
     /// [`Fitness::Simulated`] defaults to [`SimMode::TrafficOnly`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Fitness::Simulated`] when `model` does not charge
+    /// partial sums [`PartialSumPolicy::PerVisit`], the only accounting
+    /// the simulator measures.
     pub fn new(fitness: Fitness, model: CostModel, mm: MatMul) -> NestScorer {
-        let sim = matches!(fitness, Fitness::Simulated).then(|| SimBackend {
-            mode: SimMode::TrafficOnly,
-            operands: None,
-            macro_out: None,
-            pool: ScratchPool::new(),
-        });
+        let sim = SimBackend::for_fitness(fitness, &model);
         let latency = match fitness {
             Fitness::Latency(spec) => Some(spec),
             _ => None,
@@ -163,35 +182,21 @@ impl NestScorer {
         }
     }
 
-    /// Selects the simulated replay mode; [`SimMode::Full`] and
-    /// [`SimMode::FullMacro`] materialize the operand matrices, and
-    /// `FullMacro` additionally hoists its one macro-step value replay
-    /// here, so per-genome scoring never touches data. No-op for an
-    /// analytical scorer.
+    /// Selects the simulated replay mode; [`SimMode::Full`] materializes
+    /// the operand matrices. No-op for an analytical scorer.
     #[must_use]
     pub fn with_sim_mode(mut self, mode: SimMode) -> NestScorer {
         if let Some(sim) = &mut self.sim {
             sim.mode = mode;
-            sim.operands = matches!(mode, SimMode::Full | SimMode::FullMacro).then(|| {
+            sim.operands = (mode == SimMode::Full).then(|| {
                 let mm = self.mm;
                 (
                     Matrix::pseudo_random(mm.m() as usize, mm.k() as usize, OPERAND_SEED),
                     Matrix::pseudo_random(mm.k() as usize, mm.l() as usize, OPERAND_SEED + 1),
                 )
             });
-            sim.macro_out = match (mode, &sim.operands) {
-                (SimMode::FullMacro, Some((a, b))) => Some(a.matmul(b)),
-                _ => None,
-            };
         }
         self
-    }
-
-    /// The hoisted [`SimMode::FullMacro`] replay product, when that mode
-    /// is selected — the same matrix every per-genome full replay would
-    /// recompute (pinned by the fitness tests).
-    pub fn macro_out(&self) -> Option<&Matrix> {
-        self.sim.as_ref().and_then(|sim| sim.macro_out.as_ref())
     }
 
     /// Scalar cost of `nest` under the selected backend — total memory
@@ -209,9 +214,7 @@ impl NestScorer {
     /// one scratch arena from the pool and holds it for the session's
     /// lifetime, so a worker scoring a whole sub-population pays the
     /// pool lock once per batch instead of once per genome. For the
-    /// closed-form backends — including [`SimMode::FullMacro`], whose
-    /// value replay is already hoisted into the scorer — the session is
-    /// stateless and free.
+    /// closed-form backends the session is stateless and free.
     ///
     /// Sessions are per-thread (they hold the leased arena mutably);
     /// the scorer itself stays shareable, so each `par_map_batched`
@@ -219,11 +222,7 @@ impl NestScorer {
     pub fn session(&self) -> NestSession<'_> {
         NestSession {
             scorer: self,
-            scratch: self
-                .sim
-                .as_ref()
-                .filter(|sim| sim.mode == SimMode::Full && sim.operands.is_some())
-                .map(|sim| sim.pool.lease()),
+            scratch: self.sim.as_ref().and_then(SimBackend::lease),
         }
     }
 }
@@ -249,7 +248,7 @@ impl NestSession<'_> {
         match &scorer.sim {
             None => scorer.model.evaluate(scorer.mm, nest).total(),
             Some(sim) => match (sim.mode, &sim.operands) {
-                // The per-cycle oracle: move real data on every replay.
+                // The tiled replay: move real data on every genome.
                 (SimMode::Full, Some((a, b))) => {
                     let scratch = self
                         .scratch
@@ -257,8 +256,6 @@ impl NestSession<'_> {
                         .expect("full-mode session holds a scratch lease");
                     execute_nest_with(a, b, scorer.mm, nest, scratch).total()
                 }
-                // TrafficOnly, and FullMacro with its value replay
-                // already hoisted into the scorer: pure closed form.
                 _ => measure_nest(scorer.mm, nest).total(),
             },
         }
@@ -278,13 +275,14 @@ pub struct FusedScorer {
 impl FusedScorer {
     /// Builds a scorer for `pair` under `model` with the given backend.
     /// [`Fitness::Simulated`] defaults to [`SimMode::TrafficOnly`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Fitness::Simulated`] when `model` does not charge
+    /// partial sums [`PartialSumPolicy::PerVisit`] (see
+    /// [`NestScorer::new`]).
     pub fn new(fitness: Fitness, model: CostModel, pair: FusedPair) -> FusedScorer {
-        let sim = matches!(fitness, Fitness::Simulated).then(|| SimBackend {
-            mode: SimMode::TrafficOnly,
-            operands: None,
-            macro_out: None,
-            pool: ScratchPool::new(),
-        });
+        let sim = SimBackend::for_fitness(fitness, &model);
         let latency = match fitness {
             Fitness::Latency(spec) => Some(spec),
             _ => None,
@@ -297,16 +295,14 @@ impl FusedScorer {
         }
     }
 
-    /// Selects the simulated replay mode; [`SimMode::Full`] and
-    /// [`SimMode::FullMacro`] materialize the operand matrices, and
-    /// `FullMacro` hoists its one macro-step value replay here (see
-    /// [`NestScorer::with_sim_mode`]). No-op for an analytical scorer.
+    /// Selects the simulated replay mode; [`SimMode::Full`] materializes
+    /// the operand matrices. No-op for an analytical scorer.
     #[must_use]
     pub fn with_sim_mode(mut self, mode: SimMode) -> FusedScorer {
         use fusecu_fusion::FusedDim::{K, L, M, N};
         if let Some(sim) = &mut self.sim {
             sim.mode = mode;
-            sim.operands = matches!(mode, SimMode::Full | SimMode::FullMacro).then(|| {
+            sim.operands = (mode == SimMode::Full).then(|| {
                 let d = |t| self.pair.dim(t) as usize;
                 (
                     Matrix::pseudo_random(d(M), d(K), OPERAND_SEED + 2),
@@ -314,18 +310,8 @@ impl FusedScorer {
                     Matrix::pseudo_random(d(L), d(N), OPERAND_SEED + 4),
                 )
             });
-            sim.macro_out = match (mode, &sim.operands) {
-                (SimMode::FullMacro, Some((a, b, d))) => Some(a.matmul(b).matmul(d)),
-                _ => None,
-            };
         }
         self
-    }
-
-    /// The hoisted [`SimMode::FullMacro`] replay product `E`, when that
-    /// mode is selected (see [`NestScorer::macro_out`]).
-    pub fn macro_out(&self) -> Option<&Matrix> {
-        self.sim.as_ref().and_then(|sim| sim.macro_out.as_ref())
     }
 
     /// Scalar cost of `nest` under the selected backend — total
@@ -339,16 +325,11 @@ impl FusedScorer {
 
     /// Opens a batch-scoring session holding one scratch lease for
     /// [`SimMode::Full`]; stateless and free for the closed-form
-    /// backends (including [`SimMode::FullMacro`]). See
-    /// [`NestScorer::session`].
+    /// backends. See [`NestScorer::session`].
     pub fn session(&self) -> FusedSession<'_> {
         FusedSession {
             scorer: self,
-            scratch: self
-                .sim
-                .as_ref()
-                .filter(|sim| sim.mode == SimMode::Full && sim.operands.is_some())
-                .map(|sim| sim.pool.lease()),
+            scratch: self.sim.as_ref().and_then(SimBackend::lease),
         }
     }
 }
@@ -372,7 +353,7 @@ impl FusedSession<'_> {
         match &scorer.sim {
             None => nest.evaluate(&scorer.model, &scorer.pair).total(),
             Some(sim) => match (sim.mode, &sim.operands) {
-                // The per-cycle oracle: move real data on every replay.
+                // The tiled replay: move real data on every genome.
                 (SimMode::Full, Some((a, b, d))) => {
                     let scratch = self
                         .scratch
@@ -382,8 +363,6 @@ impl FusedSession<'_> {
                         .iter()
                         .sum()
                 }
-                // TrafficOnly, and FullMacro with its value replay
-                // already hoisted into the scorer: pure closed form.
                 _ => measure_fused_nest(&scorer.pair, nest).iter().sum(),
             },
         }
@@ -407,8 +386,6 @@ mod tests {
         let analytical = NestScorer::new(Fitness::Analytical, MODEL, mm);
         let traffic_only = NestScorer::new(Fitness::Simulated, MODEL, mm);
         let full = NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(SimMode::Full);
-        let full_macro =
-            NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(SimMode::FullMacro);
         for order in LoopNest::orders() {
             for tiling in [Tiling::new(1, 1, 1), Tiling::new(4, 3, 5), Tiling::new(14, 9, 11)] {
                 let nest = LoopNest::new(order, tiling);
@@ -423,11 +400,6 @@ mod tests {
                     reference,
                     "full, order {order:?} tiling {tiling}"
                 );
-                assert_eq!(
-                    full_macro.score(&nest),
-                    reference,
-                    "full-macro, order {order:?} tiling {tiling}"
-                );
             }
         }
     }
@@ -440,15 +412,12 @@ mod tests {
         let traffic_only = FusedScorer::new(Fitness::Simulated, MODEL, pair);
         let full =
             FusedScorer::new(Fitness::Simulated, MODEL, pair).with_sim_mode(SimMode::Full);
-        let full_macro =
-            FusedScorer::new(Fitness::Simulated, MODEL, pair).with_sim_mode(SimMode::FullMacro);
         for outer_is_m in [true, false] {
             for (tm, tk, tl, tn) in [(1u64, 1, 1, 1), (4, 2, 5, 3), (12, 5, 10, 7)] {
                 let nest = FusedNest::new(outer_is_m, FusedTiling::new(tm, tk, tl, tn));
                 let reference = analytical.score(&nest);
                 assert_eq!(traffic_only.score(&nest), reference, "traffic-only {nest}");
                 assert_eq!(full.score(&nest), reference, "full {nest}");
-                assert_eq!(full_macro.score(&nest), reference, "full-macro {nest}");
             }
         }
     }
@@ -459,7 +428,7 @@ mod tests {
         // must give identical answers from any of them, in both modes.
         let mm = MatMul::new(10, 8, 6);
         let nest = LoopNest::new([MmDim::M, MmDim::K, MmDim::L], Tiling::new(3, 4, 2));
-        for mode in [SimMode::TrafficOnly, SimMode::FullMacro, SimMode::Full] {
+        for mode in [SimMode::TrafficOnly, SimMode::Full] {
             let scorer = NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(mode);
             let expected = scorer.score(&nest);
             std::thread::scope(|s| {
@@ -479,14 +448,11 @@ mod tests {
     fn parallel_preference_is_cost_aware() {
         // Only the one genuinely heavy backend — Simulated moving real
         // data per genome — prefers fan-out. Every closed-form score
-        // (analytical, latency, the default TrafficOnly replay, and the
-        // macro-stepped full replay whose single value pass is hoisted
-        // out of the genome loop) is cheaper than a thread handoff and
-        // must default to serial.
+        // (analytical, latency, the default TrafficOnly replay) is
+        // cheaper than a thread handoff and must default to serial.
         assert!(Fitness::Simulated.prefers_parallel_scoring(SimMode::Full));
         assert!(!Fitness::Simulated.prefers_parallel_scoring(SimMode::TrafficOnly));
-        assert!(!Fitness::Simulated.prefers_parallel_scoring(SimMode::FullMacro));
-        for mode in [SimMode::Full, SimMode::FullMacro, SimMode::TrafficOnly] {
+        for mode in [SimMode::Full, SimMode::TrafficOnly] {
             assert!(!Fitness::Analytical.prefers_parallel_scoring(mode));
             assert!(!Fitness::Latency(ArraySpec::paper_default()).prefers_parallel_scoring(mode));
         }
@@ -503,7 +469,6 @@ mod tests {
             NestScorer::new(Fitness::Analytical, MODEL, mm),
             NestScorer::new(Fitness::Simulated, MODEL, mm),
             NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(SimMode::Full),
-            NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(SimMode::FullMacro),
             NestScorer::new(Fitness::Latency(ArraySpec::paper_default()), MODEL, mm),
         ] {
             let mut session = scorer.session();
@@ -531,42 +496,23 @@ mod tests {
         let cheap = NestScorer::new(Fitness::Simulated, MODEL, mm);
         let _session = cheap.session();
         assert_eq!(pool_idle(&cheap), 0);
-        // Neither do FullMacro sessions: the one value replay is hoisted
-        // into the scorer, so batch scoring needs no arena at all.
-        let wave = NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(SimMode::FullMacro);
-        {
-            let mut session = wave.session();
-            let nest = LoopNest::new([MmDim::M, MmDim::K, MmDim::L], Tiling::new(3, 4, 2));
-            session.score(&nest);
-            assert_eq!(pool_idle(&wave), 0);
-        }
-        assert_eq!(pool_idle(&wave), 0, "no lease was ever taken");
     }
 
     #[test]
-    fn macro_scorer_hoists_the_full_replay_product() {
-        // FullMacro's one value replay must reproduce exactly what every
-        // per-genome Full replay computes — same operands, same product.
-        let mm = MatMul::new(14, 9, 11);
-        let scorer =
-            NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(SimMode::FullMacro);
-        let sim = scorer.sim.as_ref().expect("simulated backend present");
-        let (a, b) = sim.operands.as_ref().expect("macro mode materializes operands");
-        let nest = LoopNest::new([MmDim::M, MmDim::K, MmDim::L], Tiling::new(4, 3, 5));
-        let full = fusecu_sim::driver::execute_nest(a, b, mm, &nest);
-        assert_eq!(scorer.macro_out(), Some(&full.out));
+    #[should_panic(expected = "per-visit traffic only")]
+    fn simulated_nest_scorer_refuses_read_write_accounting() {
+        let _ = NestScorer::new(
+            Fitness::Simulated,
+            CostModel::read_write(),
+            MatMul::new(6, 6, 6),
+        );
+    }
 
-        let pair = FusedPair::try_new(MatMul::new(12, 5, 10), MatMul::new(12, 10, 7)).unwrap();
-        let fused =
-            FusedScorer::new(Fitness::Simulated, MODEL, pair).with_sim_mode(SimMode::FullMacro);
-        let sim = fused.sim.as_ref().expect("simulated backend present");
-        let (a, b, d) = sim.operands.as_ref().expect("macro mode materializes operands");
-        let fnest = FusedNest::new(true, FusedTiling::new(4, 2, 5, 3));
-        let full = fusecu_sim::driver::execute_fused_nest(a, b, d, &pair, &fnest);
-        assert_eq!(fused.macro_out(), Some(&full.out));
-        // No mode but FullMacro hoists a product.
-        let other = NestScorer::new(Fitness::Simulated, MODEL, mm).with_sim_mode(SimMode::Full);
-        assert!(other.macro_out().is_none());
+    #[test]
+    #[should_panic(expected = "per-visit traffic only")]
+    fn simulated_fused_scorer_refuses_read_write_accounting() {
+        let pair = FusedPair::try_new(MatMul::new(6, 5, 4), MatMul::new(6, 4, 3)).unwrap();
+        let _ = FusedScorer::new(Fitness::Simulated, CostModel::read_write(), pair);
     }
 
     #[test]

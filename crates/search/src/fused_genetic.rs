@@ -298,19 +298,12 @@ mod tests {
         assert_eq!(cheap.effective_parallelism(), Parallelism::Serial);
         let pinned = cheap.with_parallelism(Parallelism::Threads(3));
         assert_eq!(pinned.effective_parallelism(), Parallelism::Threads(3));
-        // Macro-stepped full replay is closed-form per score: serial from
-        // either builder order, and Full → FullMacro flips the decision.
-        let macro_then_fit =
-            FusedGenetic::new(MODEL).with_sim_mode(SimMode::FullMacro).with_fitness(sim);
-        let fit_then_macro =
-            FusedGenetic::new(MODEL).with_fitness(sim).with_sim_mode(SimMode::FullMacro);
-        assert_eq!(macro_then_fit.effective_parallelism(), Parallelism::Serial);
-        assert_eq!(fit_then_macro.effective_parallelism(), Parallelism::Serial);
-        let full_to_macro = FusedGenetic::new(MODEL)
+        // Downgrading Full → TrafficOnly after the fact flips the decision.
+        let full_to_cheap = FusedGenetic::new(MODEL)
             .with_fitness(sim)
             .with_sim_mode(SimMode::Full)
-            .with_sim_mode(SimMode::FullMacro);
-        assert_eq!(full_to_macro.effective_parallelism(), Parallelism::Serial);
+            .with_sim_mode(SimMode::TrafficOnly);
+        assert_eq!(full_to_cheap.effective_parallelism(), Parallelism::Serial);
     }
 
     #[test]

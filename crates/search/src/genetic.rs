@@ -427,10 +427,6 @@ mod tests {
         // Only full data-moving replay fans out by default.
         let full = sim.clone().with_sim_mode(SimMode::Full);
         assert_eq!(full.effective_parallelism(), Parallelism::Auto);
-        // The macro-stepped full replay hoists its one value pass out of
-        // the genome loop — closed-form per score, so it stays serial.
-        let wave = sim.clone().with_sim_mode(SimMode::FullMacro);
-        assert_eq!(wave.effective_parallelism(), Parallelism::Serial);
         // Latency is closed-form too.
         let lat = ga
             .clone()
@@ -455,19 +451,6 @@ mod tests {
         let back_to_cheap =
             GeneticSearch::new(MODEL).with_sim_mode(SimMode::Full).with_fitness(sim).with_sim_mode(SimMode::TrafficOnly);
         assert_eq!(back_to_cheap.effective_parallelism(), Parallelism::Serial);
-        // FullMacro resolves serial from either builder order, and
-        // downgrading Full → FullMacro after the fact flips the decision.
-        let macro_then_fit =
-            GeneticSearch::new(MODEL).with_sim_mode(SimMode::FullMacro).with_fitness(sim);
-        let fit_then_macro =
-            GeneticSearch::new(MODEL).with_fitness(sim).with_sim_mode(SimMode::FullMacro);
-        assert_eq!(macro_then_fit.effective_parallelism(), Parallelism::Serial);
-        assert_eq!(fit_then_macro.effective_parallelism(), Parallelism::Serial);
-        let full_to_macro = GeneticSearch::new(MODEL)
-            .with_fitness(sim)
-            .with_sim_mode(SimMode::Full)
-            .with_sim_mode(SimMode::FullMacro);
-        assert_eq!(full_to_macro.effective_parallelism(), Parallelism::Serial);
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! Every searcher ranks candidates through a pluggable [`fitness`]
 //! backend: the analytical loop-nest model by default;
 //! [`Fitness::Simulated`], which replays each candidate nest on the
-//! cycle-level fabric of `fusecu-sim` and scores by *measured* traffic —
-//! the searcher's objective becomes the machine itself; or
+//! tiled drivers of `fusecu-sim` and scores by *measured* traffic; or
 //! [`Fitness::Latency`], which scores by the arch cycle model
 //! (`max(compute, DRAM)` on a given array) — a genuinely different
 //! objective that can rank genome pairs opposite to traffic.

@@ -1,9 +1,10 @@
-//! Allocation-count regression for [`SimMode::FullMacro`] scoring.
+//! Allocation-count regression for the default simulated scoring,
+//! [`SimMode::TrafficOnly`](fusecu_sim::SimMode::TrafficOnly).
 //!
-//! The macro-stepped full backend hoists its single value replay into the
-//! scorer, so scoring a whole population must touch the allocator exactly
-//! zero times: no scratch lease, no tile buffers, no per-genome state.
-//! This is the search-layer counterpart of the sim crate's
+//! The closed-form backend never touches data, so scoring a whole
+//! population through the scorers' sessions must touch the allocator
+//! exactly zero times: no scratch lease, no tile buffers, no per-genome
+//! state. This is the search-layer counterpart of the sim crate's
 //! `alloc_regression` suite (same counting-[`GlobalAlloc`] idiom — an
 //! integration test because the library crates forbid unsafe code).
 
@@ -14,7 +15,6 @@ use fusecu_dataflow::{CostModel, LoopNest, Tiling};
 use fusecu_fusion::{FusedNest, FusedPair, FusedTiling};
 use fusecu_ir::MatMul;
 use fusecu_search::{Fitness, FusedScorer, NestScorer};
-use fusecu_sim::SimMode;
 
 struct CountingAlloc;
 
@@ -48,12 +48,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 #[test]
-fn full_macro_population_scoring_never_allocates() {
-    // Scorer construction materializes operands and the hoisted product
-    // (allocates, once); sessions and every score after that must not.
+fn traffic_only_population_scoring_never_allocates() {
+    // Sessions and every score through them must not allocate.
     let mm = MatMul::new(48, 40, 32);
-    let scorer = NestScorer::new(Fitness::Simulated, CostModel::paper(), mm)
-        .with_sim_mode(SimMode::FullMacro);
+    let scorer = NestScorer::new(Fitness::Simulated, CostModel::paper(), mm);
     let nests: Vec<LoopNest> = LoopNest::orders()
         .into_iter()
         .flat_map(|order| {
@@ -72,14 +70,13 @@ fn full_macro_population_scoring_never_allocates() {
         total
     });
     assert!(total > 0);
-    assert_eq!(count, 0, "FullMacro nest scoring allocated {count} times");
+    assert_eq!(count, 0, "TrafficOnly nest scoring allocated {count} times");
 }
 
 #[test]
-fn full_macro_fused_population_scoring_never_allocates() {
+fn traffic_only_fused_population_scoring_never_allocates() {
     let pair = FusedPair::try_new(MatMul::new(32, 24, 40), MatMul::new(32, 40, 16)).unwrap();
-    let scorer = FusedScorer::new(Fitness::Simulated, CostModel::paper(), pair)
-        .with_sim_mode(SimMode::FullMacro);
+    let scorer = FusedScorer::new(Fitness::Simulated, CostModel::paper(), pair);
     let nests: Vec<FusedNest> = [true, false]
         .into_iter()
         .flat_map(|outer_is_m| {
@@ -98,5 +95,8 @@ fn full_macro_fused_population_scoring_never_allocates() {
         total
     });
     assert!(total > 0);
-    assert_eq!(count, 0, "FullMacro fused scoring allocated {count} times");
+    assert_eq!(
+        count, 0,
+        "TrafficOnly fused scoring allocated {count} times"
+    );
 }

@@ -5,40 +5,36 @@
 //! Two drivers:
 //!
 //! * [`execute_nest`] replays a buffer-level [`LoopNest`] with a modeled
-//!   one-tile-per-operand buffer, counting every element fetched or written
-//!   on a tile switch. Its measured traffic must equal
+//!   one-tile-per-operand buffer, computing each tile with a golden kernel
+//!   and counting every element fetched or written on a tile switch. Its
+//!   measured traffic must equal
 //!   [`CostModel::evaluate`](fusecu_dataflow::CostModel::evaluate) exactly — the execution-level proof of the
 //!   memory-access model that Fig 9 relies on.
 //! * [`execute_on_cu`] runs each tile's arithmetic through the systolic
 //!   [`CuArray`] instead of a golden kernel, proving the mapping handles
 //!   every (possibly ragged) tile a real schedule produces.
 //!
-//! Traffic accounting itself comes in three strength-reduction tiers, all
-//! producing byte-identical counters (pinned by `tests/traffic_differential`
-//! and the `sim_throughput` digests):
+//! Traffic accounting has two tiers, byte-identical (pinned by
+//! `tests/traffic_differential` and the `sim_throughput` digests):
 //!
-//! * the **frozen naive walk** ([`oracle`]) checks every operand slot on
-//!   every innermost iteration — the reference the faster paths are
-//!   differentially tested against;
-//! * the **hoisted walk** ([`nest_traffic`] / [`fused_traffic`], measured
-//!   via [`measure_nest_walk`] / [`measure_fused_nest_walk`]) resolves per
-//!   loop level which slots can change residency there and charges at loop
-//!   boundaries with precomputed edge-clamped spans — this is the walk the
-//!   full-replay drivers run;
-//! * the **closed form** ([`measure_nest`] / [`measure_fused_nest`], the
-//!   [`crate::SimMode::TrafficOnly`] fast path) prices interior tiles
-//!   analytically and folds the ragged edge fringe into per-axis span
-//!   sums, eliminating tile loops entirely.
+//! * the **naive walk** ([`oracle`]) checks every operand slot on every
+//!   innermost iteration. It is the reference, and the tiled replays
+//!   ([`execute_nest_with`], [`execute_fused_nest_with`],
+//!   [`execute_fused_chain`]) move values inside that same walk, so their
+//!   counters are the oracle's by construction;
+//! * the **closed form** ([`measure_nest`] / [`measure_fused_nest`] /
+//!   [`measure_fused_chain`], the [`crate::SimMode::TrafficOnly`] fast
+//!   path) prices interior tiles analytically and folds the ragged edge
+//!   fringe into per-axis span sums, with no tile loops at all.
 //!
-//! Value movement has the same two-tier structure: the per-cycle engine
-//! above is the frozen oracle, and the **wavefront macro-step tier**
-//! ([`execute_nest_macro`] / [`execute_fused_nest_macro`] /
-//! [`execute_fused_chain_macro`] / [`execute_on_cu_macro`],
-//! [`crate::SimMode::FullMacro`]) computes the same outputs with the
-//! cache-blocked direct kernel and the same counters from the closed
-//! forms — byte-identical on outputs, cycles, and every traffic counter
-//! (pinned by `tests/macro_step_differential`), with no per-cycle register
-//! stepping on the hot path.
+//! Value movement also has two tiers: the tiled replays above, and the
+//! **macro tier** ([`execute_nest_macro`] / [`execute_fused_nest_macro`] /
+//! [`execute_fused_chain_macro`]), which computes the same outputs with
+//! one cache-blocked direct kernel pass per matmul and takes its counters
+//! from the closed forms — byte-identical on outputs and every traffic
+//! counter (pinned by `tests/macro_step_differential`). Neither clocks a
+//! PE; [`execute_on_cu`] does, and [`execute_on_cu_macro`] is its
+//! macro-stepped counterpart.
 
 use fusecu_arch::Stationary;
 use fusecu_dataflow::{LoopNest, MemoryAccess};
@@ -48,6 +44,7 @@ use fusecu_ir::{MatMul, MmDim, Operand};
 use crate::array::CuArray;
 use crate::matrix::Matrix;
 use crate::scratch::SimScratch;
+use oracle::{FusedChainStep, FusedStep};
 
 /// The result of replaying a loop nest: the product and the measured
 /// per-tensor buffer↔memory traffic.
@@ -60,12 +57,11 @@ pub struct NestRun {
     pub measured: MemoryAccess,
 }
 
-/// Per-dimension tile geometry hoisted out of the accounting loops: the
-/// iteration count, the clamped full-tile span, and the (possibly ragged)
-/// span of the final edge tile. `span()` is a branch, not a recomputation,
-/// and `total()` prices the whole axis in one step — `count − 1` interior
-/// tiles charged analytically plus the edge fringe — so no per-tile walk
-/// along the axis remains.
+/// Per-dimension tile geometry for the closed forms: the iteration count,
+/// the clamped full-tile span, and the (possibly ragged) span of the final
+/// edge tile. `total()` prices the whole axis in one step — `count − 1`
+/// interior tiles charged analytically plus the edge fringe — so no
+/// per-tile walk along the axis remains.
 #[derive(Debug, Clone, Copy)]
 struct DimSpans {
     count: usize,
@@ -85,123 +81,10 @@ impl DimSpans {
         }
     }
 
-    /// The edge-clamped span of tile `i`.
-    fn span(&self, i: usize) -> usize {
-        if i + 1 == self.count {
-            self.edge
-        } else {
-            self.full
-        }
-    }
-
     /// Sum of all tile spans along the axis (the dimension size).
     fn total(&self) -> u64 {
         ((self.count - 1) * self.full + self.edge) as u64
     }
-}
-
-/// How one operand slot's residency charges hoist out of the innermost
-/// loop, resolved once per walk from the loop order. A slot's resident key
-/// is its pair of tile indices, so it can only change at the loop levels
-/// carrying the slot's dimensions — which makes every charge predictable
-/// at the `(outer, middle)` body boundary (see [`nest_traffic`]).
-#[derive(Debug, Clone, Copy)]
-enum Charge {
-    /// The slot's absent dimension is innermost: its key *is* the body
-    /// index, so it changes on every body — charge the body's span product
-    /// unconditionally.
-    PerBody,
-    /// The slot carries the innermost dimension and that loop iterates
-    /// more than once: every body re-streams the slot's whole innermost
-    /// row of tiles — charge `span(other) × D_inner` per body. `other` is
-    /// the loop level (0 or 1) of the slot's non-innermost dimension.
-    Sweep {
-        /// Loop level of the slot's non-innermost dimension.
-        other: usize,
-    },
-    /// The slot carries the innermost dimension but that loop runs a
-    /// single iteration: the key only changes when the slot's outer tile
-    /// index does — charge `span(other) × D_inner` on change, tracked.
-    OnChange {
-        /// Loop level of the slot's non-innermost dimension.
-        other: usize,
-    },
-}
-
-/// The single source of truth for nest-replay traffic accounting, in
-/// strength-reduced form: residency charges are resolved per loop level
-/// ([`Charge`]) and applied at `(outer, middle)` body boundaries with the
-/// innermost phase folded analytically, so the innermost loop body is a
-/// bare `visit(im, ik, il)` call with no residency checks or span math
-/// left in it. [`execute_nest_with`] computes values in `visit`;
-/// [`measure_nest_walk`] passes a no-op — so the two modes' counters are
-/// identical by construction, and both are asserted equal to the frozen
-/// naive walk ([`oracle::measure_nest`]) by the differential tests.
-fn nest_traffic(
-    mm: MatMul,
-    nest: &LoopNest,
-    mut visit: impl FnMut(usize, usize, usize),
-) -> MemoryAccess {
-    let pos = MmDim::ALL.map(|d| {
-        nest.order
-            .iter()
-            .position(|x| *x == d)
-            .expect("order holds every dim")
-    });
-    let lv = nest.order.map(|d| DimSpans::new(mm.dim(d), nest.tiling.tile(d)));
-    let inner_elems = lv[2].total();
-
-    let plan = Operand::ALL.map(|op| {
-        let [da, db] = op.dims();
-        let (qa, qb) = (pos[da as usize], pos[db as usize]);
-        if qa != 2 && qb != 2 {
-            Charge::PerBody
-        } else {
-            let other = qa.min(qb);
-            if lv[2].count > 1 {
-                Charge::Sweep { other }
-            } else {
-                Charge::OnChange { other }
-            }
-        }
-    });
-
-    let mut traffic = [0u64; 3]; // A, B, C
-    let mut last = [usize::MAX; 3]; // OnChange tracking, per slot
-    for i0 in 0..lv[0].count {
-        for i1 in 0..lv[1].count {
-            let body = [i0, i1];
-            let spans = [lv[0].span(i0), lv[1].span(i1)];
-            for (slot, charge) in plan.iter().enumerate() {
-                match *charge {
-                    Charge::PerBody => traffic[slot] += (spans[0] * spans[1]) as u64,
-                    Charge::Sweep { other } => {
-                        traffic[slot] += spans[other] as u64 * inner_elems;
-                    }
-                    Charge::OnChange { other } => {
-                        if last[slot] != body[other] {
-                            last[slot] = body[other];
-                            traffic[slot] += spans[other] as u64 * inner_elems;
-                        }
-                    }
-                }
-            }
-            let mut it = [i0, i1, 0];
-            for i2 in 0..lv[2].count {
-                it[2] = i2;
-                visit(it[pos[0]], it[pos[1]], it[pos[2]]);
-            }
-        }
-    }
-    MemoryAccess::new(traffic[0], traffic[1], traffic[2])
-}
-
-/// Counters-only nest measurement via the hoisted accounting *walk* — the
-/// exact loop structure [`execute_nest_with`] runs, minus all value
-/// movement. This is the path to benchmark against [`measure_nest`] (the
-/// closed form); scoring call sites should use [`measure_nest`].
-pub fn measure_nest_walk(mm: MatMul, nest: &LoopNest) -> MemoryAccess {
-    nest_traffic(mm, nest, |_, _, _| {})
 }
 
 /// Counters-only nest measurement ([`crate::SimMode::TrafficOnly`]) in
@@ -209,9 +92,10 @@ pub fn measure_nest_walk(mm: MatMul, nest: &LoopNest) -> MemoryAccess {
 /// footprint times the number of maximal constant-residency runs the walk
 /// would produce, with edge-clamped axis sums (`(count−1)·full + edge`)
 /// pricing interior tiles analytically and the ragged fringe in one term.
-/// The result is byte-identical to the walk ([`measure_nest_walk`], and
-/// therefore to a full replay and to the frozen naive oracle) — proven by
-/// the `traffic_differential` suite across random and boundary tilings.
+/// The result is byte-identical to the naive oracle
+/// ([`oracle::measure_nest`]), and so to a full replay, which runs on that
+/// walk — proven by the `traffic_differential` suite across random and
+/// boundary tilings.
 ///
 /// Derivation, per operand slot with its absent dimension at loop level
 /// `r` and level iteration counts `c0, c1, c2` (single-iteration loops are
@@ -250,7 +134,9 @@ pub fn measure_nest(mm: MatMul, nest: &LoopNest) -> MemoryAccess {
 /// semantics to [`execute_nest`], but every tile buffer and the output
 /// accumulation live in `scratch`, so replaying many nests of one shape
 /// (the simulated-fitness hot path) allocates only on the first call.
-/// The product is left in `scratch.out()`; the measured traffic returns.
+/// The tiles move inside the naive accounting walk
+/// ([`oracle::measure_nest`]), so the counters are the oracle's. The
+/// product is left in `scratch.out()`; the measured traffic returns.
 ///
 /// # Panics
 ///
@@ -274,7 +160,7 @@ pub fn execute_nest_with(
         ..
     } = scratch;
     out.reset_zeroed(mm.m() as usize, mm.l() as usize);
-    nest_traffic(mm, nest, |im, ik, il| {
+    oracle::nest_walk(mm, nest, |im, ik, il| {
         // Compute this tile's contribution (golden arithmetic; the
         // systolic path is validated by `execute_on_cu`).
         a.tile_into(im * tm, ik * tk, tm, tk, a_tile);
@@ -354,90 +240,11 @@ pub struct FusedNestRun {
     pub measured: [u64; 4],
 }
 
-/// One step of the fused replay schedule, as visited by [`fused_traffic`].
-enum FusedStep {
-    /// A new shared tile begins with the given clamped `(M, L)` spans.
-    Begin(usize, usize),
-    /// One producer reduction step `ik` inside shared tile `(im, il)`.
-    Producer(usize, usize, usize),
-    /// One consumer drain step `inn` inside shared tile `(im, il)`.
-    Consumer(usize, usize, usize),
-}
-
-/// The fused analogue of [`nest_traffic`], strength-reduced the same way:
-/// one accounting walk shared by [`execute_fused_nest_with`] and
-/// [`measure_fused_nest_walk`]. Every external tensor is anchored on
-/// exactly one shared loop (`M` for `A`/`E`, `L` for `B`/`D`) and swept by
-/// exactly one phase loop (`K` for the producer tensors, `N` for the
-/// consumer tensors), so its residency charges resolve at the shared-tile
-/// boundary: a multi-iteration phase loop re-streams
-/// `span(anchor) × D_phase` on every shared tile, a single-iteration phase
-/// loop charges only when the anchor's tile index changes. The phase loops
-/// themselves carry only `visit` calls. `visit` receives every schedule
-/// step in order; traffic accounting is independent of it.
-fn fused_traffic(
-    pair: &FusedPair,
-    nest: &FusedNest,
-    mut visit: impl FnMut(FusedStep),
-) -> [u64; 4] {
-    use fusecu_fusion::FusedDim;
-    let gd = |d: FusedDim| DimSpans::new(pair.dim(d), nest.tiling.clamped_tile(pair, d));
-    let (m, k, l, n) = (
-        gd(FusedDim::M),
-        gd(FusedDim::K),
-        gd(FusedDim::L),
-        gd(FusedDim::N),
-    );
-    let outer_is_m = nest.shared_order()[0] == FusedDim::M;
-    let (outer, inner) = if outer_is_m { (m, l) } else { (l, m) };
-
-    // Per-slot (A, B, D, E) hoisted charge parameters: the phase loop's
-    // element total and whether it forces a re-stream per shared tile.
-    let phase_elems = [k.total(), k.total(), n.total(), n.total()];
-    let sweep = [k.count > 1, k.count > 1, n.count > 1, n.count > 1];
-
-    let mut traffic = [0u64; 4];
-    let mut last = [usize::MAX; 4]; // anchor tracking, per slot
-    for i0 in 0..outer.count {
-        for i1 in 0..inner.count {
-            let (im, il) = if outer_is_m { (i0, i1) } else { (i1, i0) };
-            let (sm, sl) = (m.span(im), l.span(il));
-            let anchor = [im, il, il, im];
-            let anchor_span = [sm, sl, sl, sm];
-            for slot in 0..4 {
-                if sweep[slot] || last[slot] != anchor[slot] {
-                    last[slot] = anchor[slot];
-                    traffic[slot] += anchor_span[slot] as u64 * phase_elems[slot];
-                }
-            }
-            visit(FusedStep::Begin(sm, sl));
-            // Producer phase: accumulate the C tile in "registers".
-            for ik in 0..k.count {
-                visit(FusedStep::Producer(im, il, ik));
-            }
-            // Consumer phase: drain the C tile through D into E.
-            for inn in 0..n.count {
-                visit(FusedStep::Consumer(im, il, inn));
-            }
-        }
-    }
-    traffic
-}
-
-/// Counters-only fused measurement via the hoisted accounting *walk* — the
-/// exact loop structure [`execute_fused_nest_with`] runs, minus all value
-/// movement. Benchmark counterpart of [`measure_fused_nest`] (the closed
-/// form); scoring call sites should use [`measure_fused_nest`]. Traffic is
-/// in `ExtTensor::ALL` order (`A, B, D, E`).
-pub fn measure_fused_nest_walk(pair: &FusedPair, nest: &FusedNest) -> [u64; 4] {
-    fused_traffic(pair, nest, |_| {})
-}
-
 /// Counters-only fused measurement ([`crate::SimMode::TrafficOnly`]) in
 /// closed form — the fused analogue of [`measure_nest`], byte-identical to
-/// the walk and the frozen naive oracle (proven by the
-/// `traffic_differential` suite). Traffic is in `ExtTensor::ALL` order
-/// (`A, B, D, E`).
+/// the naive oracle ([`oracle::measure_fused_nest`]) and so to a full
+/// replay (proven by the `traffic_differential` suite). Traffic is in
+/// `ExtTensor::ALL` order (`A, B, D, E`).
 ///
 /// Each external tensor spans one shared (anchor) dimension and one phase
 /// dimension; with `n_other` the iteration count of the *other* shared
@@ -484,8 +291,9 @@ pub fn measure_fused_nest(pair: &FusedPair, nest: &FusedNest) -> [u64; 4] {
 /// Full fused replay through a caller-provided [`SimScratch`]: identical
 /// semantics to [`execute_fused_nest`], with every tile buffer (including
 /// the modeled `C` register file) and the output accumulation living in
-/// `scratch`. The chain output is left in `scratch.out()`; the measured
-/// per-tensor traffic returns.
+/// `scratch`. The tiles move inside the naive accounting walk
+/// ([`oracle::measure_fused_nest`]). The chain output is left in
+/// `scratch.out()`; the measured per-tensor traffic returns.
 ///
 /// # Panics
 ///
@@ -518,7 +326,7 @@ pub fn execute_fused_nest_with(
         out,
     } = scratch;
     out.reset_zeroed(dims(FusedDim::M), dims(FusedDim::N));
-    fused_traffic(pair, nest, |step| match step {
+    oracle::fused_nest_walk(pair, nest, |step| match step {
         FusedStep::Begin(sm, sl) => c_tile.reset_zeroed(sm, sl),
         FusedStep::Producer(im, il, ik) => {
             a.tile_into(im * tm, ik * tk, tm, tk, a_tile);
@@ -621,70 +429,10 @@ pub struct FusedChainRun {
     pub measured: Vec<u64>,
 }
 
-/// One step of the k-ary chain replay schedule, as visited by
-/// [`fused_chain_traffic`].
-enum FusedChainStep {
-    /// A new shared `M` row panel begins with the given clamped span:
-    /// every interior panel resets.
-    BeginPanel(usize),
-    /// One tile step `it` of phase `phase` inside row panel `im`:
-    /// reduction phases accumulate into the resident interior panel,
-    /// the final phase drains through `W_{k-1}` into `O`.
-    Phase(usize, usize, usize),
-}
-
-/// The k-ary analogue of [`fused_traffic`]: one hoisted accounting walk
-/// shared by [`execute_fused_chain`] and [`measure_fused_chain_walk`].
-/// `X` and `O` tiles key on `(im, it)` — every visit is fresh, so each row
-/// panel streams exactly its `sm × c` slice. The weight `W_i` keys on its
-/// phase tile index alone: a multi-iteration phase re-streams the whole
-/// weight inside every row panel, a single-iteration phase keeps its one
-/// tile resident across the entire run and charges once — exactly the
-/// analytical model's reload multiplier, so the charges hoist to the
-/// row-panel boundary and the phase loops carry only `visit` calls.
-fn fused_chain_traffic(
-    chain: &FusedChain,
-    nest: &ChainNest,
-    mut visit: impl FnMut(FusedChainStep),
-) -> Vec<u64> {
-    let k = chain.depth();
-    let m = chain.m() as usize;
-    let t_m = nest.clamped_t_m(chain) as usize;
-    let n_m = nest.m_iterations(chain) as usize;
-
-    let mut traffic = vec![0u64; k + 2];
-    let mut w_loaded = vec![false; k];
-    for im in 0..n_m {
-        let sm = t_m.min(m - im * t_m);
-        traffic[0] += sm as u64 * chain.col(0); // X row slice, streamed once
-        traffic[k + 1] += sm as u64 * chain.col(k); // O row slice, written once
-        visit(FusedChainStep::BeginPanel(sm));
-        for phase in 0..k {
-            let iters = nest.phase_iterations(chain, phase) as usize;
-            if iters > 1 || !w_loaded[phase] {
-                w_loaded[phase] = true;
-                traffic[1 + phase] += chain.weight_elems(phase);
-            }
-            for it in 0..iters {
-                visit(FusedChainStep::Phase(phase, im, it));
-            }
-        }
-    }
-    traffic
-}
-
-/// Counters-only chain measurement via the hoisted accounting *walk* — the
-/// exact loop structure [`execute_fused_chain`] runs, minus all value
-/// movement. Benchmark counterpart of [`measure_fused_chain`] (the closed
-/// form). Traffic is in chain slot order (`X, W_0 … W_{k-1}, O`).
-pub fn measure_fused_chain_walk(chain: &FusedChain, nest: &ChainNest) -> Vec<u64> {
-    fused_chain_traffic(chain, nest, |_| {})
-}
-
 /// Counters-only chain measurement in closed form — the k-ary analogue of
-/// [`measure_fused_nest`], byte-identical to the walk and the frozen naive
-/// oracle ([`oracle::measure_fused_chain`]). Traffic is in chain slot
-/// order (`X, W_0 … W_{k-1}, O`):
+/// [`measure_fused_nest`], byte-identical to the naive oracle
+/// ([`oracle::measure_fused_chain`]) and so to a full replay. Traffic is
+/// in chain slot order (`X, W_0 … W_{k-1}, O`):
 ///
 /// * `X` and `O` key on the row panel and stream exactly once;
 /// * `W_i` re-streams on every row panel when its phase loop iterates
@@ -711,7 +459,9 @@ pub fn measure_fused_chain(chain: &FusedChain, nest: &ChainNest) -> Vec<u64> {
 /// row panels, reduction phases accumulating each interior panel
 /// `Y_i[sm, c_{i+1}]` on chip (they never count as traffic), and a final
 /// phase draining the last panel through `W_{k-1}` into `O`. External
-/// tensors charge one (edge-clamped) tile on every residency switch.
+/// tensors charge one (edge-clamped) tile on every residency switch; the
+/// panels move inside the naive accounting walk
+/// ([`oracle::measure_fused_chain`]).
 ///
 /// # Panics
 ///
@@ -746,7 +496,7 @@ pub fn execute_fused_chain(
     // row panel by the BeginPanel reset.
     let mut panels: Vec<Matrix> = (0..k - 1).map(|_| Matrix::zero(1, 1)).collect();
     let mut sm_cur = 0usize;
-    let measured = fused_chain_traffic(chain, nest, |step| match step {
+    let measured = oracle::fused_chain_walk(chain, nest, |step| match step {
         FusedChainStep::BeginPanel(sm) => {
             sm_cur = sm;
             for (i, p) in panels.iter_mut().enumerate() {
@@ -816,26 +566,53 @@ pub fn execute_fused_chain_macro(
     }
 }
 
-/// The frozen naive accounting walks, kept as the in-crate reference
-/// oracle for the strength-reduced paths above — the same role
-/// `sim_throughput`'s `legacy` module plays for the allocating drivers.
-/// These check every operand slot on every innermost iteration, exactly as
-/// the pre-refactor drivers did; the differential suite and benchmark pin
-/// the live walks and closed forms against them byte for byte.
-///
-/// One micro-fix is applied relative to the historical code: dimension
-/// sizes, clamped tiles, and order positions are hoisted out of the
-/// `span`/`at` closures into arrays computed once per call, so timing
-/// differentials compare accounting *strategies* rather than repeated
-/// `position()`/`tile()` lookups.
+/// The naive accounting walks: the traffic oracle. Each checks every
+/// operand slot on every innermost iteration and charges an (edge-clamped)
+/// tile whenever a slot's resident tile changes. The tiled replays move
+/// values inside these walks through their `visit` callbacks, and the
+/// differential suite and the benchmark pin the closed forms against them
+/// byte for byte.
 pub mod oracle {
     use fusecu_dataflow::{LoopNest, MemoryAccess};
     use fusecu_fusion::{ChainNest, ExtTensor, FusedChain, FusedDim, FusedNest, FusedPair};
     use fusecu_ir::{MatMul, MmDim, Operand};
 
-    /// Naive-walk nest measurement: the frozen reference for
-    /// [`super::measure_nest`] and [`super::measure_nest_walk`].
+    /// One step of the fused replay schedule, as visited by
+    /// [`fused_nest_walk`].
+    pub(super) enum FusedStep {
+        /// A new shared tile begins with the given clamped `(M, L)` spans.
+        Begin(usize, usize),
+        /// One producer reduction step `ik` inside shared tile `(im, il)`.
+        Producer(usize, usize, usize),
+        /// One consumer drain step `inn` inside shared tile `(im, il)`.
+        Consumer(usize, usize, usize),
+    }
+
+    /// One step of the k-ary chain replay schedule, as visited by
+    /// [`fused_chain_walk`].
+    pub(super) enum FusedChainStep {
+        /// A new shared `M` row panel begins with the given clamped span:
+        /// every interior panel resets.
+        BeginPanel(usize),
+        /// One tile step `it` of phase `phase` inside row panel `im`:
+        /// reduction phases accumulate into the resident interior panel,
+        /// the final phase drains through `W_{k-1}` into `O`.
+        Phase(usize, usize, usize),
+    }
+
+    /// Naive-walk nest measurement: the reference for
+    /// [`super::measure_nest`].
     pub fn measure_nest(mm: MatMul, nest: &LoopNest) -> MemoryAccess {
+        nest_walk(mm, nest, |_, _, _| {})
+    }
+
+    /// The naive nest walk: calls `visit(im, ik, il)` on every innermost
+    /// iteration, after charging that iteration's residency switches.
+    pub(super) fn nest_walk(
+        mm: MatMul,
+        nest: &LoopNest,
+        mut visit: impl FnMut(usize, usize, usize),
+    ) -> MemoryAccess {
         let dims = MmDim::ALL.map(|d| mm.dim(d) as usize);
         let tiles = MmDim::ALL.map(|d| nest.tiling.tile(d).min(mm.dim(d)) as usize);
         let pos = MmDim::ALL.map(|d| {
@@ -865,16 +642,27 @@ pub mod oracle {
                             resident[slot] = Some(key);
                         }
                     }
+                    visit(at(MmDim::M), at(MmDim::K), at(MmDim::L));
                 }
             }
         }
         MemoryAccess::new(traffic[0], traffic[1], traffic[2])
     }
 
-    /// Naive-walk fused measurement (`ExtTensor::ALL` order): the frozen
-    /// reference for [`super::measure_fused_nest`] and
-    /// [`super::measure_fused_nest_walk`].
+    /// Naive-walk fused measurement (`ExtTensor::ALL` order): the
+    /// reference for [`super::measure_fused_nest`].
     pub fn measure_fused_nest(pair: &FusedPair, nest: &FusedNest) -> [u64; 4] {
+        fused_nest_walk(pair, nest, |_| {})
+    }
+
+    /// The naive fused walk: calls `visit` on every step of the schedule,
+    /// each producer and consumer step after charging its residency
+    /// switches.
+    pub(super) fn fused_nest_walk(
+        pair: &FusedPair,
+        nest: &FusedNest,
+        mut visit: impl FnMut(FusedStep),
+    ) -> [u64; 4] {
         let dims = FusedDim::ALL.map(|d| pair.dim(d) as usize);
         let tiles = FusedDim::ALL.map(|d| nest.tiling.clamped_tile(pair, d) as usize);
         let iters = FusedDim::ALL.map(|d| nest.tiling.iterations(pair, d) as usize);
@@ -897,13 +685,21 @@ pub mod oracle {
         for i0 in 0..it(s0) {
             for i1 in 0..it(s1) {
                 let (im, il) = if s0 == FusedDim::M { (i0, i1) } else { (i1, i0) };
+                visit(FusedStep::Begin(
+                    span(FusedDim::M, im),
+                    span(FusedDim::L, il),
+                ));
+                // Producer phase: accumulate the C tile in "registers".
                 for ik in 0..it(FusedDim::K) {
                     touch(0, ExtTensor::A, (im, ik));
                     touch(1, ExtTensor::B, (ik, il));
+                    visit(FusedStep::Producer(im, il, ik));
                 }
+                // Consumer phase: drain the C tile through D into E.
                 for inn in 0..it(FusedDim::N) {
                     touch(2, ExtTensor::D, (il, inn));
                     touch(3, ExtTensor::E, (im, inn));
+                    visit(FusedStep::Consumer(im, il, inn));
                 }
             }
         }
@@ -911,13 +707,21 @@ pub mod oracle {
     }
 
     /// Naive-walk k-ary chain measurement (chain slot order
-    /// `X, W_0 … W_{k-1}, O`): the frozen reference for
-    /// [`super::measure_fused_chain`] and
-    /// [`super::measure_fused_chain_walk`]. Every residency key is checked
-    /// on every innermost iteration, exactly like the other oracles: `X`
-    /// and `O` tiles key on `(im, it)`, weight tiles on their phase index
-    /// alone (so a single-tile phase stays resident across row panels).
+    /// `X, W_0 … W_{k-1}, O`): the reference for
+    /// [`super::measure_fused_chain`].
     pub fn measure_fused_chain(chain: &FusedChain, nest: &ChainNest) -> Vec<u64> {
+        fused_chain_walk(chain, nest, |_| {})
+    }
+
+    /// The naive chain walk: calls `visit` at every row panel and on every
+    /// phase step, after charging the step's residency switches. `X` and
+    /// `O` tiles key on `(im, it)`, weight tiles on their phase index alone
+    /// (so a single-tile phase stays resident across row panels).
+    pub(super) fn fused_chain_walk(
+        chain: &FusedChain,
+        nest: &ChainNest,
+        mut visit: impl FnMut(FusedChainStep),
+    ) -> Vec<u64> {
         let k = chain.depth();
         let m = chain.m();
         let t_m = nest.clamped_t_m(chain) as usize;
@@ -927,6 +731,7 @@ pub mod oracle {
         let mut resident: Vec<Option<(usize, usize)>> = vec![None; k + 2];
         for im in 0..n_m {
             let sm = span(m, t_m, im);
+            visit(FusedChainStep::BeginPanel(sm));
             for phase in 0..k {
                 let tile = nest.clamped_phase_tile(chain, phase) as usize;
                 let dim = ChainNest::phase_dim(chain, phase);
@@ -953,6 +758,7 @@ pub mod oracle {
                             resident[slot] = Some((im, it));
                         }
                     }
+                    visit(FusedChainStep::Phase(phase, im, it));
                 }
             }
         }
@@ -1118,7 +924,7 @@ mod tests {
     #[test]
     fn traffic_only_nest_counters_match_full_mode() {
         // SimMode::TrafficOnly must be byte-identical to the full replay's
-        // counters across orders and tilings — it is the same walk.
+        // counters across orders and tilings.
         let mm = MatMul::new(12, 10, 8);
         let a = Matrix::pseudo_random(12, 10, 41);
         let b = Matrix::pseudo_random(10, 8, 42);
@@ -1161,10 +967,9 @@ mod tests {
 
     #[test]
     fn nest_accounting_tiers_agree() {
-        // Naive oracle == hoisted walk == closed form, including ragged
-        // edges, untiled dims, unit tiles, and single-tile axes (the
-        // OnChange plan's corner cases). The dedicated proptest suite
-        // covers random genomes; this pins a deterministic grid.
+        // Naive oracle == closed form, including ragged edges, untiled
+        // dims, unit tiles, and single-tile axes. The dedicated proptest
+        // suite covers random genomes; this pins a deterministic grid.
         let mm = MatMul::new(12, 10, 8);
         for order in LoopNest::orders() {
             for tiling in [
@@ -1179,11 +984,6 @@ mod tests {
             ] {
                 let nest = LoopNest::new(order, tiling);
                 let naive = oracle::measure_nest(mm, &nest);
-                assert_eq!(
-                    measure_nest_walk(mm, &nest),
-                    naive,
-                    "walk vs naive: order {order:?} tiling {tiling}"
-                );
                 assert_eq!(
                     measure_nest(mm, &nest),
                     naive,
@@ -1209,11 +1009,6 @@ mod tests {
             ] {
                 let nest = FusedNest::new(outer_is_m, FusedTiling::new(tm, tk, tl, tn));
                 let naive = oracle::measure_fused_nest(&pair, &nest);
-                assert_eq!(
-                    measure_fused_nest_walk(&pair, &nest),
-                    naive,
-                    "walk vs naive: {nest}"
-                );
                 assert_eq!(
                     measure_fused_nest(&pair, &nest),
                     naive,
@@ -1333,16 +1128,11 @@ mod tests {
 
     #[test]
     fn chain_accounting_tiers_agree() {
-        // Naive oracle == hoisted walk == closed form == analytical model,
-        // across depths 3..5, ragged spans, and untiled/tiled phase masks.
+        // Naive oracle == closed form == analytical model, across depths
+        // 3..5, ragged spans, and untiled/tiled phase masks.
         let model = CostModel::paper();
         chain_grid(|c, nest| {
             let naive = oracle::measure_fused_chain(c, nest);
-            assert_eq!(
-                measure_fused_chain_walk(c, nest),
-                naive,
-                "walk vs naive: chain={c} nest={nest}"
-            );
             assert_eq!(
                 measure_fused_chain(c, nest),
                 naive,

@@ -20,25 +20,28 @@
 //!   place) and wide column fusion (Fig 7(e), untiled dimensions up to
 //!   `2N` streaming between 2-CU halves);
 //! * a tiling [`driver`] that executes arbitrarily large matmuls tile by
-//!   tile and *measures* buffer↔array traffic, cross-checking the
-//!   analytical memory-access model of `fusecu-dataflow` in execution.
-//!   Traffic accounting comes in three byte-identical tiers — a frozen
-//!   naive walk ([`driver::oracle`]), a hoisted walk with residency
-//!   checks strength-reduced to loop boundaries, and a closed form with
-//!   no tile loops at all ([`driver::measure_nest`] /
-//!   [`driver::measure_fused_nest`], the [`SimMode::TrafficOnly`]
-//!   scoring path). K-ary fused chains get the same three tiers plus a
-//!   full replay ([`driver::execute_fused_chain`]) that threads every
-//!   interior intermediate through resident on-chip panels.
+//!   tile with golden tile kernels and *measures* buffer↔array traffic,
+//!   cross-checking the analytical memory-access model of
+//!   `fusecu-dataflow` in execution ([`SimMode::Full`]). Traffic
+//!   accounting has two byte-identical tiers: the naive walk
+//!   ([`driver::oracle`]), inside which the tiled replays move their
+//!   values, and a closed form with no tile loops at all
+//!   ([`driver::measure_nest`] / [`driver::measure_fused_nest`], the
+//!   [`SimMode::TrafficOnly`] scoring path). K-ary fused chains get the
+//!   same two tiers plus a full replay ([`driver::execute_fused_chain`])
+//!   that threads every interior intermediate through resident on-chip
+//!   panels.
 //!
-//! Value replay itself is two-tier: the per-cycle engine above is the
-//! frozen oracle, and a **wavefront macro-step tier** exploits the skew
-//! structure of the WS/OS/IS schedules to land each tile's outputs with a
-//! direct kernel and derive cycles and traffic algebraically — see
-//! [`SimMode::FullMacro`], the `*_macro` runs on [`array::CuArray`] /
+//! Value replay is two-tier as well. The per-cycle engine
+//! ([`array::CuArray`], [`fabric::FuseCuFabric`], the [`fusion`] runs and
+//! [`driver::execute_on_cu`]) clocks every PE; the **wavefront macro-step
+//! tier** exploits the skew structure of the WS/OS/IS schedules to land
+//! each run's outputs with a direct kernel and derive its cycles
+//! algebraically — the `*_macro` runs on [`array::CuArray`] /
 //! [`fabric::FuseCuFabric`] / [`fusion`], and the `execute_*_macro`
-//! drivers, all pinned byte-identical to the per-cycle engine by the
-//! `macro_step_differential` suite.
+//! drivers, which take their traffic from the closed forms. All of it is
+//! pinned byte-identical to the per-cycle engine and the tiled replays by
+//! the `macro_step_differential` suite.
 //!
 //! All simulations are exact over `i64`, so every check is bit-precise.
 

@@ -22,29 +22,20 @@ use crate::matrix::Matrix;
 /// How much of the machine a driver replay actually simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimMode {
-    /// Move every value through the frozen per-cycle engine: compute the
-    /// product tile by tile and measure traffic. The complete replay and
-    /// the oracle the macro-step tier is differentially pinned against;
-    /// the default.
+    /// Replay the nest tile by tile on real operands: golden tile kernels
+    /// compute the product while the naive accounting walk
+    /// ([`crate::driver::oracle`]) measures traffic. No PE is clocked; the
+    /// per-cycle engine is [`crate::CuArray`] / [`crate::FuseCuFabric`].
+    /// The default.
     #[default]
     Full,
-    /// Wavefront macro-stepped full replay: operands are materialized and
-    /// the product is computed with the direct kernel while cycles and
-    /// traffic are derived algebraically from the skew structure of the
-    /// WS/OS/IS schedules — no per-cycle register stepping and no
-    /// per-genome tile walk survives on the scoring path. Outputs,
-    /// cycles, and every traffic counter are byte-identical to
-    /// [`SimMode::Full`] (proven by `tests/macro_step_differential.rs`);
-    /// per-genome cost drops to closed form, so population scoring stays
-    /// serial like the other cheap backends.
-    FullMacro,
-    /// Skip value movement entirely and compute only the traffic/cycle
-    /// counters a fitness scores. Resolves to the closed-form
+    /// Skip value movement entirely and compute only the traffic counters
+    /// a fitness scores. Resolves to the closed-form
     /// `measure_nest`/`measure_fused_nest` in the driver: no loops over
     /// tiles, interior tiles priced analytically and the ragged edge
     /// fringe folded into edge-clamped span sums. Byte-identical counters
-    /// to [`SimMode::Full`] — proven against the hoisted accounting walk
-    /// and the frozen naive oracle by the `traffic_differential` suite.
+    /// to [`SimMode::Full`] — proven against the naive oracle by the
+    /// `traffic_differential` suite.
     TrafficOnly,
 }
 

@@ -20,7 +20,7 @@ use fusecu_dataflow::{LoopNest, Tiling};
 use fusecu_ir::{MatMul, MmDim};
 use fusecu_sim::driver::{
     execute_fused_nest_macro_with, execute_nest_macro_with, execute_nest_with,
-    measure_fused_nest, measure_fused_nest_walk, measure_nest, measure_nest_walk,
+    measure_fused_nest, measure_nest,
 };
 use fusecu_sim::{CuArray, FabricShape, FuseCuFabric, Matrix, SimScratch};
 
@@ -129,9 +129,8 @@ fn traffic_only_replay_never_allocates() {
 
 #[test]
 fn closed_form_scoring_population_never_allocates() {
-    // The closed-form TrafficOnly fast path and the hoisted accounting
-    // walk must stay zero-allocation across a whole scoring population,
-    // not just one call — this is what lets the search loop replay
+    // The closed-form TrafficOnly fast path must stay zero-allocation
+    // across a whole scoring population, not just one call — this is what lets the search loop replay
     // thousands of genomes per second with no allocator traffic at all.
     // Genomes are built outside the counted region; only scoring counts.
     let mm = MatMul::new(96, 80, 64);
@@ -156,16 +155,14 @@ fn closed_form_scoring_population_never_allocates() {
         let mut total = 0u64;
         for nest in &nests {
             total += measure_nest(mm, nest).total();
-            total += measure_nest_walk(mm, nest).total();
         }
         for nest in &fused {
             total += measure_fused_nest(&pair, nest).iter().sum::<u64>();
-            total += measure_fused_nest_walk(&pair, nest).iter().sum::<u64>();
         }
         total
     });
     assert!(total > 0);
-    assert_eq!(count, 0, "closed-form/walk scoring allocated {count} times");
+    assert_eq!(count, 0, "closed-form scoring allocated {count} times");
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Differential proof that the wavefront macro-step tier equals the
-//! frozen per-cycle engine, byte for byte.
+//! per-cycle engine and the tiled replays, byte for byte.
 //!
-//! The macro tier ([`fusecu_sim::SimMode::FullMacro`] and the `*_macro`
-//! runs/drivers) replaces synchronous per-cycle register stepping with the
-//! direct kernel plus algebraic cycle/traffic derivation from the skew
-//! structure of the WS/OS/IS schedules. It is only admissible because it
-//! is **bit-identical** to the per-cycle oracle on outputs, cycle counts,
-//! and every traffic counter — this suite is that proof, over random
-//! shapes in all three [`Stationary`] modes, the
+//! The macro tier (the `*_macro` runs and drivers) replaces synchronous
+//! per-cycle register stepping and tile-by-tile replay with the direct
+//! kernel plus algebraic cycle/traffic derivation from the skew structure
+//! of the WS/OS/IS schedules. It is only admissible because it is
+//! **bit-identical** to the per-cycle engine and the tiled replays on
+//! outputs, cycle counts, and every traffic counter — this suite is that
+//! proof, over random shapes in all three [`Stationary`] modes, the
 //! `promote_acc_to_stationary` fused-tile handoff, fused pairs on a CU
 //! and on the four-CU fabric, and depth-≥3 fused chains.
 //!

@@ -1,16 +1,15 @@
-//! Differential proof that the three traffic-accounting tiers agree.
+//! Differential proof that the two traffic-accounting tiers agree.
 //!
-//! The driver now prices a nest three ways: the frozen naive walk
+//! The driver prices a nest two ways: the naive walk
 //! ([`fusecu_sim::driver::oracle`], one residency check per slot per
-//! innermost body), the hoisted walk (residency checks strength-reduced
-//! to the loop levels where they can change), and the closed form (no
-//! tile loops at all). Correctness rests on all three producing
+//! innermost body, and the walk the tiled replays run on) and the closed
+//! form (no tile loops at all). Correctness rests on both producing
 //! byte-identical counters, and on those counters equalling the
 //! analytical model — this suite is that proof, over randomized orders
 //! and tilings plus pinned boundary shapes (unit tiles, full-dimension
 //! tiles, untiled axes, ragged edges, single-iteration loops).
 //!
-//! Tile ranges deliberately exceed the dimension ranges: every tier and
+//! Tile ranges deliberately exceed the dimension ranges: both tiers and
 //! the analytical model clamp oversized tiles, so `tile > dim` must be
 //! exercised, not filtered out.
 
@@ -19,21 +18,17 @@ use proptest::prelude::*;
 use fusecu_dataflow::{CostModel, LoopNest, MemoryAccess, Tiling};
 use fusecu_fusion::{ExtTensor, FusedNest, FusedPair, FusedTiling};
 use fusecu_ir::MatMul;
-use fusecu_sim::driver::{
-    measure_fused_nest, measure_fused_nest_walk, measure_nest, measure_nest_walk, oracle,
-};
+use fusecu_sim::driver::{measure_fused_nest, measure_nest, oracle};
 
 fn model() -> CostModel {
     CostModel::paper()
 }
 
-/// Asserts naive == hoisted == closed-form == analytical for one nest.
+/// Asserts naive == closed-form == analytical for one nest.
 fn assert_nest_paths_agree(mm: MatMul, nest: &LoopNest) -> MemoryAccess {
     let naive = oracle::measure_nest(mm, nest);
-    let walk = measure_nest_walk(mm, nest);
     let closed = measure_nest(mm, nest);
     let predicted = model().evaluate(mm, nest);
-    assert_eq!(walk, naive, "hoisted walk vs naive oracle: {mm} {nest:?}");
     assert_eq!(closed, naive, "closed form vs naive oracle: {mm} {nest:?}");
     assert_eq!(closed, predicted, "closed form vs model: {mm} {nest:?}");
     closed
@@ -42,9 +37,7 @@ fn assert_nest_paths_agree(mm: MatMul, nest: &LoopNest) -> MemoryAccess {
 /// Asserts the fused tiers agree and match `FusedNest::evaluate`.
 fn assert_fused_paths_agree(pair: &FusedPair, nest: &FusedNest) -> [u64; 4] {
     let naive = oracle::measure_fused_nest(pair, nest);
-    let walk = measure_fused_nest_walk(pair, nest);
     let closed = measure_fused_nest(pair, nest);
-    assert_eq!(walk, naive, "hoisted walk vs naive oracle: {pair} {nest}");
     assert_eq!(closed, naive, "closed form vs naive oracle: {pair} {nest}");
     let predicted = nest.evaluate(&model(), pair);
     for (slot, t) in ExtTensor::ALL.iter().enumerate() {
@@ -163,15 +156,13 @@ use fusecu_fusion::{
     try_plan_dag_with, ChainNest, FusedChain, PlannerConfig,
 };
 use fusecu_ir::OpGraph;
-use fusecu_sim::driver::{execute_fused_chain, measure_fused_chain, measure_fused_chain_walk};
+use fusecu_sim::driver::{execute_fused_chain, measure_fused_chain};
 use fusecu_sim::Matrix;
 
-/// Asserts the three chain tiers agree and match [`ChainNest::evaluate`].
+/// Asserts the two chain tiers agree and match [`ChainNest::evaluate`].
 fn assert_chain_paths_agree(chain: &FusedChain, nest: &ChainNest) -> Vec<u64> {
     let naive = oracle::measure_fused_chain(chain, nest);
-    let walk = measure_fused_chain_walk(chain, nest);
     let closed = measure_fused_chain(chain, nest);
-    assert_eq!(walk, naive, "hoisted walk vs naive oracle: {chain} {nest:?}");
     assert_eq!(closed, naive, "closed form vs naive oracle: {chain} {nest:?}");
     let predicted = nest.evaluate(&model(), chain);
     assert_eq!(
@@ -205,7 +196,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Random chain depth × dims × (possibly oversized, ragged) tiling:
-    /// naive == hoisted == closed form == analytical, at any depth.
+    /// naive == closed form == analytical, at any depth.
     #[test]
     fn chain_tiers_agree_on_random_genomes(
         dims in proptest::collection::vec(1u64..12, 3..7),

@@ -1,6 +1,7 @@
 //! The `serve` daemon over TCP, end to end: a real process on a loopback
 //! port, answering closed-loop pings, running out of file descriptors,
-//! and shutting down while other clients are connected.
+//! and shutting down while other clients are connected, one of them with
+//! replies it never reads.
 //!
 //! A reply must leave as soon as it is answered. When the payload and its
 //! newline went out as two writes with Nagle's algorithm on, the second
@@ -28,6 +29,8 @@ const IDLE_CPU_BOUND: f64 = 0.5;
 const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 /// Longest the daemon may take to exit after answering `shutdown`.
 const EXIT_DEADLINE: Duration = Duration::from_secs(5);
+/// Longest the daemon may take to read a pipeline of a few million lines.
+const READ_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Kills the daemon if the test ends before shutting it down.
 struct Daemon(Child);
@@ -214,6 +217,62 @@ fn out_of_descriptors_the_daemon_idles_and_answers_waiting_clients_later() {
     );
     let status = exit_within(&mut daemon, EXIT_DEADLINE).expect("serve exits after shutdown");
     assert!(status.success(), "serve exited with {status}");
+}
+
+/// The largest size the kernel lets a TCP socket buffer grow to: the third
+/// field of `/proc/sys/net/ipv4/<name>` (`tcp_rmem` or `tcp_wmem`).
+fn tcp_buffer_max(name: &str) -> usize {
+    let sizes = std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}"))
+        .expect("read TCP buffer sizes");
+    let max = sizes.split_whitespace().nth(2).expect("three sizes");
+    max.parse().expect("buffer size")
+}
+
+/// The daemon's `requests` counter, from a `stats` sent on `admin`.
+fn requests_counted(admin: &mut BufReader<TcpStream>) -> usize {
+    writeln!(admin.get_mut(), "s stats").expect("send stats");
+    let stats = reply(admin, REPLY_TIMEOUT).expect("stats reply");
+    let (_, rest) = stats.split_once("\"requests\":").expect("requests counter");
+    let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+    digits.and_then(|n| n.parse().ok()).expect("request count")
+}
+
+#[test]
+fn shutdown_ends_the_daemon_while_a_client_leaves_its_replies_unread() {
+    // More replies than both socket buffers hold at their largest, with a
+    // MiB to spare for what the daemon buffers itself, so its writer for
+    // this client blocks.
+    let owed = tcp_buffer_max("tcp_rmem") + tcp_buffer_max("tcp_wmem") + (1 << 20);
+    let lines = owed / "p ok pong\n".len() + 1;
+    let (mut daemon, addr) = spawn_daemon();
+    let mut unread = TcpStream::connect(addr).expect("connect to serve");
+    unread
+        .write_all(&b"p ping\n".repeat(lines))
+        .expect("send the pipeline");
+    // Once the daemon has read every line, it owes this client more
+    // replies than the sockets can take.
+    let mut admin = send(addr, "i ping");
+    assert_eq!(
+        reply(&mut admin, REPLY_TIMEOUT).expect("ping reply"),
+        "i ok pong"
+    );
+    let t0 = Instant::now();
+    while requests_counted(&mut admin) < lines + 1 {
+        assert!(
+            t0.elapsed() < READ_DEADLINE,
+            "serve did not read the pipeline"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    writeln!(admin.get_mut(), "x shutdown").expect("send shutdown");
+    assert_eq!(
+        reply(&mut admin, REPLY_TIMEOUT).expect("shutdown reply"),
+        "x ok bye"
+    );
+    let status = exit_within(&mut daemon, EXIT_DEADLINE)
+        .expect("serve still running with a client's replies unread");
+    assert!(status.success(), "serve exited with {status}");
+    drop(unread);
 }
 
 #[test]
