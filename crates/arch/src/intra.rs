@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 use fusecu_dataflow::principles::stationary_sweep;
 use fusecu_dataflow::{CostModel, Dataflow, LoopNest, Tiling};
 use fusecu_ir::{MatMul, Operand};
-use fusecu_dataflow::memo::{CacheStats, MemoCache, SectionCounters};
+use fusecu_dataflow::memo::{MemoCache, SectionCounters};
 
 use crate::flex::best_mapping;
 use crate::platform::Platform;
@@ -310,7 +310,8 @@ fn tile_key(spec: &ArraySpec, platform: Platform, model: &CostModel, mm: MatMul)
     (mm, platform, spec.pe_dim, spec.buffer_elems, *model)
 }
 
-fn op_cache() -> &'static MemoCache<TileKey, Vec<OpCandidate>> {
+/// The process-wide operator cache.
+pub fn op_cache() -> &'static MemoCache<TileKey, Vec<OpCandidate>> {
     static CACHE: OnceLock<MemoCache<TileKey, Vec<OpCandidate>>> = OnceLock::new();
     CACHE.get_or_init(MemoCache::new)
 }
@@ -361,34 +362,16 @@ pub fn try_optimize_op_cached(
     select_op(spec, count, &candidates)
 }
 
-/// Hit/miss counters of the process-wide operator cache, for the figure
-/// binaries' cache-effectiveness logging.
-pub fn op_cache_stats() -> CacheStats {
-    op_cache().stats()
-}
-
 /// Per-section counters of the process-wide operator cache, for
 /// machine-readable stats (`--stats-json`, the serve daemon).
 pub fn op_cache_counters() -> SectionCounters {
     op_cache().counters("operators")
 }
 
-/// Drops every operator-cache entry, keeping the hit/miss counters and
-/// counting the drops as evictions (the serve daemon's memory cap).
-/// Returns the number of entries evicted.
-pub fn op_cache_evict_all() -> usize {
-    op_cache().evict_all()
-}
-
 /// Drops all operator-cache entries and resets its counters — for tests
 /// and the stress harness's cold-start-per-process baseline.
 pub fn op_cache_clear() {
     op_cache().clear();
-}
-
-/// Completed operator-cache entries, for the disk persistence layer.
-pub fn op_cache_snapshot() -> Vec<(TileKey, Vec<OpCandidate>)> {
-    op_cache().snapshot()
 }
 
 /// Preloads operator-cache entries saved by an earlier process; returns

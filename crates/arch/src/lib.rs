@@ -43,9 +43,8 @@ pub use energy::EnergyModel;
 pub use eval::{evaluate_graph, try_evaluate_graph, GraphPerf};
 pub use flex::TilingFlex;
 pub use intra::{
-    op_cache_clear, op_cache_counters, op_cache_evict_all, op_cache_preload, op_cache_snapshot,
-    op_cache_stats, op_candidates, optimize_op, optimize_op_cached, select_op,
-    try_optimize_op_cached, OpCandidate, OpPerf, TileKey,
+    op_cache, op_cache_clear, op_cache_counters, op_cache_preload, op_candidates, optimize_op,
+    optimize_op_cached, select_op, try_optimize_op_cached, OpCandidate, OpPerf, TileKey,
 };
 pub use latency::{fused_compute_cycles, fused_latency, nest_compute_cycles, nest_latency};
 pub use mapping::{classify_intermediate, recommended_mapping, IntermediateShape};

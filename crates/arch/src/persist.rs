@@ -1,18 +1,19 @@
-//! Disk persistence for the arch- and fusion-level memo caches.
-//!
-//! Reuses the versioned, fingerprinted [`fusecu_dataflow::persist`] file
-//! format for the two caches that live above the intra-operator sweep:
+//! Record codecs and model digests for the arch- and fusion-level memo
+//! caches, which persist through the generic
+//! [`fusecu_dataflow::persist`] save and load:
 //!
 //! * the **operator cache** ([`crate::intra`]): per
 //!   `(mm, platform, pe_dim, buffer, model)` key, the bandwidth-independent
 //!   candidate list (stationary, CU shape, panel dataflow, unit compute
 //!   cycles) that [`crate::intra::select_op`] re-scores per bandwidth;
 //! * the **fusion caches** ([`fusecu_fusion`]): the memoized fused-pair
-//!   optima and whole-chain plans.
+//!   optima, whole-chain plans and whole-graph plans.
 //!
-//! As in the search-level format, records store reconstruction inputs
-//! (shapes, loop orders, tile sizes) and re-derive costs through the cost
-//! model on load, except the operator cache's `unit_compute_cycles`, whose
+//! The cache registry of `fusecu_search::cache` names the file each of
+//! them lives in. As in the search-level format, records store
+//! reconstruction inputs (shapes, loop orders, tile sizes) and re-derive
+//! costs through the cost model on load, except the operator cache's
+//! `unit_compute_cycles`, whose
 //! recomputation is exactly the expensive mapping search the cache exists
 //! to skip — it is stored verbatim and guarded by the file checksum.
 //! Because those verbatim cycles come out of the mapping/cycle model, the
@@ -20,43 +21,57 @@
 //! extended with a behavioral digest of [`best_mapping`] over a probe
 //! grid. If the mapping or cycle equations change — even without a crate
 //! version bump — the digest changes and every arch cache file becomes a
-//! cold start instead of serving stale cycle counts.
-//! Loading is all-or-nothing per file and every anomaly is a cold start.
+//! cold start instead of serving stale cycle counts. Graph plans are
+//! stamped with [`graph_fingerprint`] instead, a digest of the planner.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::io;
-use std::path::Path;
 use std::sync::OnceLock;
 
 use fusecu_dataflow::persist::{
     decode_dataflow, decode_mm, decode_model, encode_dataflow, encode_mm, encode_model,
-    fingerprint_with, CacheFile, RecordReader,
+    fingerprint_with, Codec, RecordReader,
 };
 use fusecu_dataflow::CostModel;
-use fusecu_fusion::graph_planner::{
-    graph_cache_preload, graph_cache_snapshot, try_plan_dag, GraphKey, GraphPlan, GraphStep,
-};
-use fusecu_fusion::planner::{
-    plan_cache_preload, plan_cache_snapshot, ChainPlan, ChainStep, PlanKey,
-};
+use fusecu_fusion::graph_planner::{try_plan_dag, GraphKey, GraphPlan, GraphStep};
+use fusecu_fusion::planner::{ChainPlan, ChainStep, PlanKey};
 use fusecu_fusion::{
-    optimizer::{pair_cache_preload, pair_cache_snapshot},
     ChainNest, FusedChain, FusedChainDataflow, FusedDataflow, FusedDim, FusedNest, FusedPair,
     FusedTiling, PairKey,
 };
 use fusecu_ir::{FuseLink, MatMul, MmChain, MmDag, NodeId, OpGraph};
 
 use crate::flex::{best_mapping, TilingFlex};
-use crate::intra::{op_cache_preload, op_cache_snapshot, OpCandidate, TileKey};
+use crate::intra::{OpCandidate, TileKey};
 use crate::platform::Platform;
 use crate::spec::ArraySpec;
 use crate::stationary::Stationary;
 
-const SECTION_OPERATORS: &str = "operators";
-const SECTION_PAIRS: &str = "pairs";
-const SECTION_PLANS: &str = "plans";
-const SECTION_GRAPHS: &str = "graphs";
+/// Records of the operator cache ([`crate::intra::op_cache`]).
+pub const OP_CODEC: Codec<TileKey, Vec<OpCandidate>> = Codec {
+    encode: |key, candidates| encode_op_entry(key, candidates),
+    decode: decode_op_entry,
+};
+
+/// Records of the fused-pair cache
+/// ([`fusecu_fusion::optimizer::pair_cache`]).
+pub const PAIR_CODEC: Codec<PairKey, Option<FusedDataflow>> = Codec {
+    encode: encode_pair_entry,
+    decode: decode_pair_entry,
+};
+
+/// Records of the chain-plan cache ([`fusecu_fusion::planner::plan_cache`]).
+pub const PLAN_CODEC: Codec<PlanKey, Option<ChainPlan>> = Codec {
+    encode: encode_plan_entry,
+    decode: decode_plan_entry,
+};
+
+/// Records of the whole-graph plan cache
+/// ([`fusecu_fusion::graph_planner::graph_cache`]).
+pub const GRAPH_CODEC: Codec<GraphKey, Option<GraphPlan>> = Codec {
+    encode: encode_graph_entry,
+    decode: decode_graph_entry,
+};
 
 /// A behavioral digest of the mapping/cycle model: [`best_mapping`]'s
 /// chosen `(cycles, shape)` over every flexibility grade on a fixed probe
@@ -206,36 +221,6 @@ fn decode_op_entry(record: &[u64]) -> Option<(TileKey, Vec<OpCandidate>)> {
     Some(((mm, platform, pe_dim, buffer_elems, model), candidates))
 }
 
-/// Serializes the process-wide operator cache to `path`; returns the
-/// number of entries written.
-pub fn save_op_cache(path: &Path) -> io::Result<usize> {
-    let mut file = CacheFile::new();
-    file.push_section(
-        SECTION_OPERATORS,
-        op_cache_snapshot()
-            .iter()
-            .map(|(k, v)| encode_op_entry(k, v))
-            .collect(),
-    );
-    let n = file.records();
-    file.save_with(path, &arch_fingerprint())?;
-    Ok(n)
-}
-
-/// Preloads the operator cache from `path`; all-or-nothing, 0 on any
-/// anomaly (including a stale mapping-model digest in the fingerprint).
-pub fn load_op_cache(path: &Path) -> usize {
-    let Some(file) = CacheFile::load_with(path, &arch_fingerprint()) else {
-        return 0;
-    };
-    let entries: Option<Vec<_>> = file
-        .section(SECTION_OPERATORS)
-        .iter()
-        .map(|rec| decode_op_entry(rec))
-        .collect();
-    entries.map_or(0, op_cache_preload)
-}
-
 // --- fusion caches -------------------------------------------------------
 
 fn encode_pair_entry(key: &PairKey, value: &Option<FusedDataflow>) -> Vec<u64> {
@@ -356,52 +341,6 @@ fn decode_plan_entry(record: &[u64]) -> Option<(PlanKey, Option<ChainPlan>)> {
     };
     r.finish()?;
     Some(((chain, bs, model), value))
-}
-
-/// Serializes the process-wide fused-pair and chain-plan caches to one
-/// file at `path`; returns the number of entries written.
-pub fn save_fusion_caches(path: &Path) -> io::Result<usize> {
-    let mut file = CacheFile::new();
-    file.push_section(
-        SECTION_PAIRS,
-        pair_cache_snapshot()
-            .iter()
-            .map(|(k, v)| encode_pair_entry(k, v))
-            .collect(),
-    );
-    file.push_section(
-        SECTION_PLANS,
-        plan_cache_snapshot()
-            .iter()
-            .map(|(k, v)| encode_plan_entry(k, v))
-            .collect(),
-    );
-    let n = file.records();
-    file.save_with(path, &arch_fingerprint())?;
-    Ok(n)
-}
-
-/// Preloads the fused-pair and chain-plan caches from `path`;
-/// all-or-nothing, 0 on any anomaly (including a stale mapping-model
-/// digest in the fingerprint).
-pub fn load_fusion_caches(path: &Path) -> usize {
-    let Some(file) = CacheFile::load_with(path, &arch_fingerprint()) else {
-        return 0;
-    };
-    let pairs: Option<Vec<_>> = file
-        .section(SECTION_PAIRS)
-        .iter()
-        .map(|rec| decode_pair_entry(rec))
-        .collect();
-    let plans: Option<Vec<_>> = file
-        .section(SECTION_PLANS)
-        .iter()
-        .map(|rec| decode_plan_entry(rec))
-        .collect();
-    match (pairs, plans) {
-        (Some(pairs), Some(plans)) => pair_cache_preload(pairs) + plan_cache_preload(plans),
-        _ => 0,
-    }
 }
 
 // --- whole-graph plan cache ----------------------------------------------
@@ -701,45 +640,91 @@ fn decode_graph_entry(record: &[u64]) -> Option<(GraphKey, Option<GraphPlan>)> {
     Some(((dag, bs, model), value))
 }
 
-/// Serializes the process-wide whole-graph plan cache to `path`; returns
-/// the number of entries written. Stamped with [`graph_fingerprint`], so
-/// a planner change invalidates the file.
-pub fn save_graph_plan_cache(path: &Path) -> io::Result<usize> {
-    let mut file = CacheFile::new();
-    file.push_section(
-        SECTION_GRAPHS,
-        graph_cache_snapshot()
-            .iter()
-            .map(|(k, v)| encode_graph_entry(k, v))
-            .collect(),
-    );
-    let n = file.records();
-    file.save_with(path, &graph_fingerprint())?;
-    Ok(n)
-}
-
-/// Preloads the whole-graph plan cache from `path`; all-or-nothing, 0 on
-/// any anomaly (including a stale planner digest in the fingerprint).
-pub fn load_graph_plan_cache(path: &Path) -> usize {
-    let Some(file) = CacheFile::load_with(path, &graph_fingerprint()) else {
-        return 0;
-    };
-    let entries: Option<Vec<_>> = file
-        .section(SECTION_GRAPHS)
-        .iter()
-        .map(|rec| decode_graph_entry(rec))
-        .collect();
-    entries.map_or(0, graph_cache_preload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusecu_dataflow::persist::{load, save, CacheFile, Section};
+    use fusecu_fusion::graph_planner::{graph_cache, graph_cache_preload};
     use fusecu_fusion::{optimize_pair, try_plan_chain};
 
     const MODEL: CostModel = CostModel {
         partial_sums: fusecu_dataflow::PartialSumPolicy::PerVisit,
     };
+
+    /// The record layout of one fixed entry of each section, token by
+    /// token: files written by earlier builds must keep loading.
+    #[test]
+    fn record_layouts_are_pinned() {
+        use fusecu_dataflow::{LoopNest, Tiling};
+        use fusecu_ir::MmDim;
+        let (a, b, c) = (MatMul::new(8, 16, 8), MatMul::new(8, 8, 16), MatMul::new(8, 16, 4));
+        let solo = |mm| {
+            MODEL.dataflow(mm, LoopNest::new([MmDim::M, MmDim::L, MmDim::K], Tiling::new(4, 8, 2)))
+        };
+        let pair = FusedPair::try_new(a, b).unwrap();
+        let fused =
+            FusedDataflow::score(&MODEL, pair, FusedNest::new(true, FusedTiling::new(4, 8, 8, 2)));
+
+        let op_key = (a, Platform::FuseCu, 128, 4_096, MODEL);
+        let ops = vec![OpCandidate::new(Stationary::Os, (4, 8), solo(a), 77)];
+        let rec = (OP_CODEC.encode)(&op_key, &ops);
+        // key: m k l, platform, pe_dim, buffer, model; candidate count;
+        // each: stationary, CU shape, dataflow (m k l, order, tiles), cycles.
+        assert_eq!(rec, [8, 16, 8, 4, 128, 4096, 0, 1, 1, 4, 8, 8, 16, 8, 0, 2, 1, 4, 8, 2, 77]);
+        assert_eq!((OP_CODEC.decode)(&rec), Some((op_key, ops)));
+
+        let pair_key = (pair, 4_096, MODEL);
+        let rec = (PAIR_CODEC.encode)(&pair_key, &Some(fused));
+        // key: m k l n, bs, model; tag; nest: outer_is_m, tiles m k l n.
+        assert_eq!(rec, [8, 16, 8, 16, 4096, 0, 1, 1, 4, 8, 8, 2]);
+        assert_eq!((PAIR_CODEC.decode)(&rec), Some((pair_key, Some(fused))));
+
+        let chain = MmChain::try_new(vec![a, b, c]).unwrap();
+        let steps = vec![
+            ChainStep::Pair { index: 0, fused },
+            ChainStep::Solo { index: 2, dataflow: solo(c) },
+        ];
+        let plan_key = (chain, 4_096, MODEL);
+        let plan = Some(ChainPlan::from_steps(steps, 4_096));
+        let rec = (PLAN_CODEC.encode)(&plan_key, &plan);
+        // key: chain length, shapes, bs, model; tag; step count; each:
+        // kind (1 pair, 0 solo) and its nest or dataflow.
+        assert_eq!(
+            rec,
+            [
+                3, 8, 16, 8, 8, 8, 16, 8, 16, 4, 4096, 0, 1, 2, 1, 1, 4, 8, 8, 2, 0, 8, 16, 4, 0, 2,
+                1, 4, 8, 2
+            ]
+        );
+        assert_eq!((PLAN_CODEC.decode)(&rec), Some((plan_key, plan)));
+
+        let links = vec![
+            FuseLink { producer: 0, consumer: 1 },
+            FuseLink { producer: 1, consumer: 2 },
+        ];
+        let dag =
+            MmDag::from_parts(vec![(NodeId(0), a, 2), (NodeId(1), b, 2), (NodeId(3), c, 2)], links)
+                .unwrap();
+        let steps = vec![
+            GraphStep::Fused { producer: NodeId(0), consumer: NodeId(1), count: 2, fused },
+            GraphStep::Solo { node: NodeId(3), count: 2, dataflow: solo(c) },
+        ];
+        let graph_key = (dag, 4_096, MODEL);
+        let plan = Some(GraphPlan::from_steps(steps, 4_096));
+        let rec = (GRAPH_CODEC.encode)(&graph_key, &plan);
+        // key: node count, each (id, m k l, count); link count, each
+        // (producer, consumer); bs, model; tag; step count; each: kind,
+        // endpoints, count, nest or dataflow.
+        assert_eq!(
+            rec,
+            [
+                3, 0, 8, 16, 8, 2, 1, 8, 8, 16, 2, 3, 8, 16, 4, 2, 2, 0, 1, 1, 2, 4096, 0, 1, 2, 1,
+                0, 1, 2, 1, 4, 8, 8, 2, 0, 3, 2, 8, 16, 4, 0, 2, 1, 4, 8, 2
+            ]
+        );
+        assert_eq!((GRAPH_CODEC.decode)(&rec), Some((graph_key, plan)));
+    }
+
 
     #[test]
     fn pair_entry_round_trips() {
@@ -885,7 +870,12 @@ mod tests {
         let dag = probe_chain_graph().mm_dag();
         let plan = try_plan_dag(&MODEL, &dag, 64 * 1024);
         graph_cache_preload(vec![((dag, 64 * 1024, MODEL), plan)]);
-        assert!(save_graph_plan_cache(&path).unwrap() >= 1);
+        let graphs = Section {
+            name: "graphs",
+            cache: graph_cache(),
+            codec: Some(GRAPH_CODEC),
+        };
+        assert!(save(&path, &graph_fingerprint(), &[&graphs]).unwrap() >= 1);
 
         // Same digest: the file is readable and carries the entry.
         let file = CacheFile::load_with(&path, &graph_fingerprint()).unwrap();
@@ -897,10 +887,10 @@ mod tests {
         file.save_with(&path, &fingerprint_with("graph-planner-changed"))
             .unwrap();
         assert!(CacheFile::load_with(&path, &graph_fingerprint()).is_none());
-        assert_eq!(load_graph_plan_cache(&path), 0);
-        // The stale file is also invisible to the other loaders.
+        assert_eq!(load(&path, &graph_fingerprint(), &[&graphs]), 0);
+        // The stale file is also invisible under the other fingerprints.
         assert!(CacheFile::load(&path).is_none());
-        assert_eq!(load_fusion_caches(&path), 0);
+        assert!(CacheFile::load_with(&path, &arch_fingerprint()).is_none());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -931,13 +921,18 @@ mod tests {
         let path = dir.join("ops.cache");
 
         // Warm the operator cache with one real entry and persist it.
-        use crate::intra::{op_candidates, op_cache_preload};
+        use crate::intra::{op_cache, op_cache_preload, op_candidates};
         let spec = ArraySpec::paper_default();
         let mm = MatMul::new(320, 96, 448);
         let key = (mm, Platform::Tpuv4i, spec.pe_dim, spec.buffer_elems, MODEL);
         let candidates = op_candidates(&spec, Platform::Tpuv4i, &MODEL, mm);
         op_cache_preload(vec![(key, candidates)]);
-        assert!(save_op_cache(&path).unwrap() >= 1);
+        let operators = Section {
+            name: "operators",
+            cache: op_cache(),
+            codec: Some(OP_CODEC),
+        };
+        assert!(save(&path, &arch_fingerprint(), &[&operators]).unwrap() >= 1);
 
         // Same digest: the file is readable and carries the entry. (The
         // preload count is 0 here only because the process-wide cache
@@ -950,7 +945,7 @@ mod tests {
         file.save_with(&path, &fingerprint_with("mapping-models-changed"))
             .unwrap();
         assert!(CacheFile::load_with(&path, &arch_fingerprint()).is_none());
-        assert_eq!(load_op_cache(&path), 0);
+        assert_eq!(load(&path, &arch_fingerprint(), &[&operators]), 0);
         // And the stale file is also invisible to the base-fingerprint loader.
         assert!(CacheFile::load(&path).is_none());
 

@@ -4,7 +4,7 @@
 //! start at zero and stay deterministic: a single #[test] is the only
 //! code that touches the global operator cache in this process.
 
-use fusecu_arch::{op_cache_stats, optimize_op_cached, ArraySpec, Platform};
+use fusecu_arch::{op_cache_counters, optimize_op_cached, ArraySpec, Platform};
 use fusecu_dataflow::CostModel;
 use fusecu_ir::MatMul;
 
@@ -16,7 +16,7 @@ fn bandwidth_and_cu_sweeps_share_one_cache_entry() {
 
     // First evaluation computes the candidate list: one miss.
     let first = optimize_op_cached(&base, Platform::FuseCu, &model, mm, 4);
-    let s = op_cache_stats();
+    let s = op_cache_counters().stats;
     assert_eq!((s.hits, s.misses), (0, 1));
 
     // A bandwidth/CU-count/instance-count sweep re-scores the same
@@ -36,7 +36,7 @@ fn bandwidth_and_cu_sweeps_share_one_cache_entry() {
             sweep += 1;
         }
     }
-    let s = op_cache_stats();
+    let s = op_cache_counters().stats;
     assert_eq!((s.hits, s.misses), (sweep, 1), "sweep points must share the entry");
 
     // Changing a tiling input (buffer budget) is a genuinely new key.
@@ -45,6 +45,6 @@ fn bandwidth_and_cu_sweeps_share_one_cache_entry() {
         ..base
     };
     optimize_op_cached(&bigger, Platform::FuseCu, &model, mm, 4);
-    let s = op_cache_stats();
+    let s = op_cache_counters().stats;
     assert_eq!(s.misses, 2);
 }

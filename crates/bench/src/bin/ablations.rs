@@ -120,7 +120,7 @@ fn main() {
     fused_mapping_ablation();
     println!(
         "\noperator cache: {} (grid points shared across ablation axes)",
-        fusecu::arch::op_cache_stats()
+        fusecu::arch::op_cache_counters().stats
     );
     println!("{}", cache.summary());
     if std::env::args().any(|a| a == "--stats-json") {

@@ -114,7 +114,7 @@ fn main() {
     conv_regimes();
     println!(
         "\noperator cache: {}",
-        fusecu::arch::op_cache_stats()
+        fusecu::arch::op_cache_counters().stats
     );
     println!("{}", cache.summary());
     if std::env::args().any(|a| a == "--stats-json") {

@@ -126,7 +126,7 @@ fn main() {
     );
     println!(
         "\noperator cache: {} (shapes repeated across layers and models are optimized once)",
-        fusecu::arch::op_cache_stats()
+        fusecu::arch::op_cache_counters().stats
     );
     println!("{}", cache.summary());
     if std::env::args().any(|a| a == "--stats-json") {

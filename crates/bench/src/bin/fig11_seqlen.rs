@@ -56,7 +56,7 @@ fn main() {
     }
     println!(
         "operator cache: {} (attention shapes recur across sequence lengths)",
-        fusecu::arch::op_cache_stats()
+        fusecu::arch::op_cache_counters().stats
     );
     println!("{}", cache.summary());
     if std::env::args().any(|a| a == "--stats-json") {

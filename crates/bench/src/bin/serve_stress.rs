@@ -33,7 +33,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fusecu::server::{spawn_frontend, BatchConfig, Server, Submission};
-use fusecu_search::{CacheStats, DataflowCache, Parallelism};
+use fusecu_search::cache::caches;
+use fusecu_search::{CacheStats, Parallelism};
 
 /// Pipelined requests kept in flight per client thread.
 const DEPTH: usize = 32;
@@ -48,24 +49,17 @@ type ClientTally = (Vec<u64>, usize, Vec<(usize, String)>);
 
 /// Aggregate hit/miss counters over every process-wide memo cache.
 fn all_cache_stats() -> CacheStats {
-    DataflowCache::global()
-        .stats()
-        .plus(fusecu_arch::op_cache_stats())
-        .plus(fusecu_fusion::optimizer::pair_cache_stats())
-        .plus(fusecu_fusion::planner::plan_cache_stats())
-        .plus(fusecu_fusion::chain::chain_cache_stats())
-        .plus(fusecu_fusion::graph_planner::graph_cache_stats())
+    caches()
+        .iter()
+        .fold(CacheStats::default(), |sum, c| sum.plus(c.section.counters().stats))
 }
 
 /// Drops every entry from every process-wide memo cache (counters kept):
 /// the state a fresh process starts from.
 fn evict_all_caches() {
-    DataflowCache::global().evict_all();
-    fusecu_arch::op_cache_evict_all();
-    fusecu_fusion::optimizer::pair_cache_evict_all();
-    fusecu_fusion::planner::plan_cache_evict_all();
-    fusecu_fusion::chain::chain_cache_evict_all();
-    fusecu_fusion::graph_planner::graph_cache_evict_all();
+    for c in caches() {
+        c.section.evict_all();
+    }
 }
 
 /// Deterministic LCG step (no external RNG; the mix must be identical

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fusecu-serve [--listen tcp:HOST:PORT] [--max-batch N]
-//!              [--snapshot-interval-secs N] [--snapshot-dirty N]
+//!              [--snapshot-interval-secs N>=1] [--snapshot-dirty N]
 //!              [--serial | --threads N] [--no-disk-cache] [--stats-json]
 //! ```
 //!
@@ -45,6 +45,8 @@
 //! a background thread flushes whenever `--snapshot-dirty` entries are
 //! pending or `--snapshot-interval-secs` has elapsed, whichever comes
 //! first, so a crash loses at most one snapshot interval of new entries.
+//! An interval of 0 is refused (exit 2): `--snapshot-dirty 1` already
+//! flushes within one 200 ms tick of the first new entry.
 //! On EOF/shutdown the daemon flushes and prints the cache summary (JSON
 //! with `--stats-json`) to stderr.
 
@@ -324,6 +326,11 @@ fn main() -> ExitCode {
         max_batch: arg_u64("--max-batch", 1024) as usize,
     };
     let snapshot_interval = Duration::from_secs(arg_u64("--snapshot-interval-secs", 30));
+    if snapshot_interval.is_zero() {
+        // The snapshot thread sleeps `min(200 ms, interval)` between
+        // checks: at 0 it would take every cache lock in a tight loop.
+        die("--snapshot-interval-secs");
+    }
     let snapshot_dirty = arg_u64("--snapshot-dirty", 256) as usize;
 
     let session = Arc::new(Mutex::new(DiskCacheSession::from_args()));

@@ -28,9 +28,11 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use fusecu_arch::{evaluate_graph, ArraySpec, GraphPerf, Platform};
+use fusecu_dataflow::persist::{self, CacheSection};
 use fusecu_dataflow::CostModel;
 use fusecu_ir::MatMul;
 use fusecu_models::TransformerConfig;
+use fusecu_search::cache::{cache_files, caches};
 use fusecu_search::{
     par_map, CacheStats, DataflowCache, Parallelism, SectionCounters, SweepEngine, SweepOutcome,
 };
@@ -328,46 +330,40 @@ pub fn sequence_sweep_with(
 /// One process's view of the disk-backed memo caches.
 ///
 /// Construct it first thing in `main` (usually via
-/// [`DiskCacheSession::from_args`]); it preloads the dataflow, operator,
-/// fused-pair, and chain-plan caches from its directory, and writes the
-/// completed entries back when dropped (or on an explicit
-/// [`DiskCacheSession::save`]). A missing, corrupt, or stale-fingerprint
-/// file is a cold start, never an error. Print
-/// [`DiskCacheSession::summary`] at the end of a run for the aggregate
-/// hit/miss line, or [`DiskCacheSession::stats_json`] for the
+/// [`DiskCacheSession::from_args`]); it preloads every persisted memo
+/// cache of the registry ([`fusecu_search::cache::caches`]) from its
+/// directory and, when dropped, rewrites each file whose caches gained
+/// entries since it was read. A missing, corrupt, or stale-fingerprint
+/// file is a cold start, never an error. Print [`DiskCacheSession::summary`] at the end of a run for the
+/// aggregate hit/miss line, or [`DiskCacheSession::stats_json`] for the
 /// machine-readable per-section breakdown (`--stats-json`).
 ///
 /// Long-running processes (the `serve` daemon) should call
 /// [`DiskCacheSession::flush`] periodically instead of relying on the
-/// save-on-drop: flush tracks how many entries each cache file held at
-/// its last write and rewrites **only the files whose caches grew**
-/// (atomic temp-file + rename per file, safe against concurrent readers
-/// and other flushing processes), so previously-flushed entries survive
-/// a later panic or `SIGKILL` and an all-hits interval writes nothing.
+/// flush on drop: flush tracks how many entries each cache file held when
+/// it was last read or written and rewrites **only the files whose caches
+/// grew** (atomic temp-file + rename per file, safe against concurrent
+/// readers and other flushing processes), so previously-flushed entries
+/// survive a later panic or `SIGKILL` and an all-hits interval writes
+/// nothing.
 #[derive(Debug)]
 pub struct DiskCacheSession {
     dir: Option<PathBuf>,
     loaded: usize,
-    saved: bool,
-    /// Entries each cache file held at the last flush/save, indexed as
-    /// [dataflow, operators, plans (pairs+chains), graphs]. Counts only
-    /// grow (deterministic memo caches), so `current > flushed` is the
-    /// dirty test; an eviction can make `current` drop below `flushed`,
-    /// in which case the on-disk file is a superset and still valid.
-    flushed: [usize; 4],
+    /// Entries each cache file held when it was last read or written, in
+    /// the registry's file order. Counts only grow (deterministic memo
+    /// caches), so `current > flushed` is the dirty test; an eviction can
+    /// make `current` drop below `flushed`, in which case the on-disk file
+    /// is a superset and still valid.
+    flushed: Vec<usize>,
+}
+
+/// Entries held by `sections`.
+fn entries(sections: &[&dyn CacheSection]) -> usize {
+    sections.iter().map(|s| s.counters().entries).sum()
 }
 
 impl DiskCacheSession {
-    /// Cache file for the intra-operator sweep caches (`fusecu-search`).
-    const DATAFLOW_FILE: &'static str = "dataflow.cache";
-    /// Cache file for the per-platform operator-candidate cache.
-    const OPERATORS_FILE: &'static str = "operators.cache";
-    /// Cache file for the fused-pair and chain-plan caches.
-    const PLANS_FILE: &'static str = "plans.cache";
-    /// Cache file for the whole-graph fusion-plan cache (stamped with the
-    /// planner fingerprint, not the mapping fingerprint).
-    const GRAPHS_FILE: &'static str = "graphs.cache";
-
     /// A session over the default cache directory (`$FUSECU_CACHE_DIR` if
     /// set, else `target/fusecu-cache`), disabled when the process was
     /// invoked with `--no-disk-cache`.
@@ -375,41 +371,44 @@ impl DiskCacheSession {
         if std::env::args().any(|a| a == "--no-disk-cache") {
             DiskCacheSession::disabled()
         } else {
-            DiskCacheSession::at(fusecu_search::persist::default_cache_dir())
+            DiskCacheSession::at(persist::default_cache_dir())
         }
     }
 
     /// A session that never touches the disk: nothing is preloaded and
-    /// [`DiskCacheSession::save`] (and drop) are no-ops. The in-process
+    /// [`DiskCacheSession::flush`] (and drop) are no-ops. The in-process
     /// memo caches still work.
     pub fn disabled() -> DiskCacheSession {
         DiskCacheSession {
             dir: None,
             loaded: 0,
-            saved: false,
-            flushed: [0; 4],
+            flushed: Vec::new(),
         }
     }
 
     /// A session over an explicit directory, preloading every cache file
     /// found there.
     pub fn at(dir: PathBuf) -> DiskCacheSession {
-        // The flush baseline is captured *before* the preloads: computing
-        // the arch/graph fingerprints below runs digest probes whose
-        // results land in the pair/chain caches but are not yet on any
-        // disk file, so they must count as dirty. The price is that the
-        // first flush after construction rewrites the preloaded files
-        // once (a save is always a full superset snapshot); from then on
-        // flushes are incremental.
-        let flushed = Self::current_counts();
-        let loaded = DataflowCache::global().load_from(&dir.join(Self::DATAFLOW_FILE))
-            + fusecu_arch::persist::load_op_cache(&dir.join(Self::OPERATORS_FILE))
-            + fusecu_arch::persist::load_fusion_caches(&dir.join(Self::PLANS_FILE))
-            + fusecu_arch::persist::load_graph_plan_cache(&dir.join(Self::GRAPHS_FILE));
+        // Files load in registry order, and each file's fingerprint is
+        // computed just before that file is read. The planner digest of
+        // `graphs.cache` replans probe graphs; after the other three loads
+        // it finds their entries warm and takes about 1 ms, against
+        // 2-2.7 ms alone (EXPERIMENTS.md, "Answers at read time"), and
+        // these loads are most of a daemon's set-up time. Each file's
+        // flush baseline is taken right after its own preload, before the
+        // next file's probe runs: a warm start then has nothing to
+        // rewrite, while the entries a later probe adds (the planner
+        // digest prices pairs that no file may hold yet) count as dirty.
+        let mut loaded = 0;
+        let flushed = cache_files(caches())
+            .map(|(store, sections)| {
+                loaded += persist::load(&dir.join(store.file), &(store.fingerprint)(), &sections);
+                entries(&sections)
+            })
+            .collect();
         DiskCacheSession {
             dir: Some(dir),
             loaded,
-            saved: false,
             flushed,
         }
     }
@@ -419,81 +418,34 @@ impl DiskCacheSession {
         self.loaded
     }
 
-    /// Current entry counts of the persisted caches, grouped by cache
-    /// file: [dataflow, operators, plans (pairs + chain plans), graphs].
-    fn current_counts() -> [usize; 4] {
-        let dataflow: usize = DataflowCache::global()
-            .sections()
-            .iter()
-            .map(|s| s.entries)
-            .sum();
-        [
-            dataflow,
-            fusecu_arch::op_cache_counters().entries,
-            fusecu_fusion::optimizer::pair_cache_counters().entries
-                + fusecu_fusion::planner::plan_cache_counters().entries,
-            fusecu_fusion::graph_planner::graph_cache_counters().entries,
-        ]
-    }
-
     /// Completed entries not yet written to disk — the daemon's snapshot
     /// trigger. Always 0 for a disabled session.
     pub fn dirty_entries(&self) -> usize {
-        if self.dir.is_none() {
-            return 0;
-        }
-        Self::current_counts()
-            .iter()
+        cache_files(caches())
             .zip(&self.flushed)
-            .map(|(&cur, &old)| cur.saturating_sub(old))
+            .map(|((_, sections), &old)| entries(&sections).saturating_sub(old))
             .sum()
     }
 
-    /// Writes every completed cache entry back to the session directory;
-    /// returns the number of entries written, or 0 for a disabled session.
-    /// Unconditional: every cache file is rewritten even when nothing
-    /// changed. Prefer [`DiskCacheSession::flush`] for periodic snapshots.
-    pub fn save(&mut self) -> io::Result<usize> {
-        let Some(dir) = &self.dir else {
-            return Ok(0);
-        };
-        let n = DataflowCache::global().save_to(&dir.join(Self::DATAFLOW_FILE))?
-            + fusecu_arch::persist::save_op_cache(&dir.join(Self::OPERATORS_FILE))?
-            + fusecu_arch::persist::save_fusion_caches(&dir.join(Self::PLANS_FILE))?
-            + fusecu_arch::persist::save_graph_plan_cache(&dir.join(Self::GRAPHS_FILE))?;
-        self.saved = true;
-        self.flushed = Self::current_counts();
-        Ok(n)
-    }
-
     /// Incremental snapshot: rewrites only the cache files whose caches
-    /// gained entries since the last flush/save, and returns the number
-    /// of entries written (0 when everything is clean or the session is
-    /// disabled). Each file is written atomically (temp file + rename),
-    /// so a reader — or a crash mid-flush — never observes a torn file,
-    /// and entries flushed earlier survive a later panic or `SIGKILL`.
-    /// Called automatically on drop (best-effort, errors swallowed).
+    /// gained entries since they were last read or written, and returns
+    /// the number of entries written (0 when everything is clean or the
+    /// session is disabled). Each file is written atomically (temp file +
+    /// rename), so a reader — or a crash mid-flush — never observes a torn
+    /// file, and entries flushed earlier survive a later panic or
+    /// `SIGKILL`. Called automatically on drop (best-effort, errors
+    /// swallowed).
     pub fn flush(&mut self) -> io::Result<usize> {
         let Some(dir) = &self.dir else {
             return Ok(0);
         };
-        let counts = Self::current_counts();
         let mut written = 0;
-        if counts[0] > self.flushed[0] {
-            written += DataflowCache::global().save_to(&dir.join(Self::DATAFLOW_FILE))?;
-            self.flushed[0] = counts[0];
-        }
-        if counts[1] > self.flushed[1] {
-            written += fusecu_arch::persist::save_op_cache(&dir.join(Self::OPERATORS_FILE))?;
-            self.flushed[1] = counts[1];
-        }
-        if counts[2] > self.flushed[2] {
-            written += fusecu_arch::persist::save_fusion_caches(&dir.join(Self::PLANS_FILE))?;
-            self.flushed[2] = counts[2];
-        }
-        if counts[3] > self.flushed[3] {
-            written += fusecu_arch::persist::save_graph_plan_cache(&dir.join(Self::GRAPHS_FILE))?;
-            self.flushed[3] = counts[3];
+        for ((store, sections), flushed) in cache_files(caches()).zip(&mut self.flushed) {
+            let now = entries(&sections);
+            if now > *flushed {
+                written += persist::save(&dir.join(store.file), &(store.fingerprint)(), &sections)?;
+                *flushed = now;
+            }
         }
         Ok(written)
     }
@@ -501,29 +453,17 @@ impl DiskCacheSession {
     /// Aggregate hit/miss counters of every memo cache the session
     /// persists.
     pub fn stats(&self) -> CacheStats {
-        DataflowCache::global()
-            .stats()
-            .plus(fusecu_arch::op_cache_stats())
-            .plus(fusecu_fusion::optimizer::pair_cache_stats())
-            .plus(fusecu_fusion::planner::plan_cache_stats())
-            .plus(fusecu_fusion::graph_planner::graph_cache_stats())
+        caches()
+            .iter()
+            .filter(|c| c.store.is_some())
+            .fold(CacheStats::default(), |sum, c| sum.plus(c.section.counters().stats))
     }
 
     /// Per-section counters of every process-wide memo cache, including
     /// the in-memory-only chain cache (which [`DiskCacheSession::stats`]
     /// and the persisted files exclude).
     pub fn stats_sections(&self) -> Vec<SectionCounters> {
-        let [principle, exhaustive, genetic] = DataflowCache::global().sections();
-        vec![
-            principle,
-            exhaustive,
-            genetic,
-            fusecu_arch::op_cache_counters(),
-            fusecu_fusion::optimizer::pair_cache_counters(),
-            fusecu_fusion::planner::plan_cache_counters(),
-            fusecu_fusion::chain::chain_cache_counters(),
-            fusecu_fusion::graph_planner::graph_cache_counters(),
-        ]
+        caches().iter().map(|c| c.section.counters()).collect()
     }
 
     /// One-line machine-readable cache report (the binaries' `--stats-json`
@@ -577,9 +517,7 @@ impl DiskCacheSession {
 
 impl Drop for DiskCacheSession {
     fn drop(&mut self) {
-        if !self.saved {
-            let _ = self.flush();
-        }
+        let _ = self.flush();
     }
 }
 

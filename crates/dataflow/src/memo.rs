@@ -4,13 +4,12 @@
 //! [`MemoCache`] lives in this bottom-of-the-stack crate so that both the
 //! searching baseline (`fusecu-search`, which depends on `fusecu-fusion`)
 //! and the fusion planner (`fusecu-fusion`) can memoize without a
-//! dependency cycle. `fusecu_search::cache` re-exports these types, so the
-//! historical import path keeps working.
+//! dependency cycle. `fusecu_search::cache` re-exports these types.
 //!
 //! Beyond in-process memoization, [`MemoCache::snapshot`] and
 //! [`MemoCache::preload`] expose the completed entries for the disk
-//! persistence layer (`fusecu_search::persist`): a figure binary snapshots
-//! its caches on exit and preloads them on the next launch, so repeated
+//! persistence layer ([`crate::persist`]): a figure binary snapshots its
+//! caches on exit and preloads them on the next launch, so repeated
 //! *processes* — not just repeated points within one process — skip
 //! recomputation.
 

@@ -1,13 +1,13 @@
 //! The versioned, fingerprinted, corruption-tolerant cache-file format
-//! shared by every disk-persisted memo cache in the workspace.
+//! shared by every disk-persisted memo cache in the workspace, and the one
+//! generic [`save`] and [`load`] every cache file goes through.
 //!
-//! This machinery started life in `fusecu_search::persist`; it lives in
-//! this bottom-of-the-stack crate so that both the search-level sweep
-//! caches (`fusecu-search`) and the arch-level operator/fusion caches
-//! (`fusecu-arch`) can persist through one format without a dependency
-//! cycle — which is also what lets `fusecu-search` call down into the
-//! cycle-level simulator for its simulated fitness backend. The historical
-//! `fusecu_search::persist` paths re-export everything here.
+//! It lives in this bottom-of-the-stack crate so that the search-level
+//! sweep caches (`fusecu-search`) and the arch- and fusion-level caches
+//! (`fusecu-arch`, `fusecu-fusion`) persist through one format without a
+//! dependency cycle. Each memo cache is declared once, as a [`Section`]
+//! with its record [`Codec`], in the cache registry of
+//! `fusecu_search::cache`, which also names the file that holds it.
 //!
 //! ## Format
 //!
@@ -67,6 +67,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::loopnest::{CostModel, Dataflow, LoopNest, PartialSumPolicy};
+use crate::memo::{MemoCache, SectionCounters};
 use crate::tiling::Tiling;
 use fusecu_ir::{MatMul, MmDim};
 
@@ -235,11 +236,14 @@ impl CacheFile {
         if fp != fingerprint {
             return None;
         }
-        let want: u64 = u64::from_str_radix(lines.next()?.strip_prefix("checksum ")?, 16).ok()?;
+        let want = lines.next()?.strip_prefix("checksum ")?;
         let body_start = text.match_indices('\n').nth(2)?.0 + 1;
         let mut h = DefaultHasher::new();
         text[body_start..].hash(&mut h);
-        if h.finish() != want {
+        // The exact rendering the writer made, so that a flipped bit in
+        // the checksum line is refused even where it only changes the
+        // case of a hex digit.
+        if format!("{:016x}", h.finish()) != want {
             return None;
         }
 
@@ -260,6 +264,109 @@ impl CacheFile {
         }
         Some(file)
     }
+}
+
+/// How one memo cache's entries are written as records and read back.
+/// `decode` validates what it reads and answers `None` for any record a
+/// fresh computation could not have produced.
+pub struct Codec<K, V> {
+    /// One entry as a record of tokens.
+    pub encode: fn(&K, &V) -> Vec<u64>,
+    /// The entry of a record, or `None` when the record is malformed.
+    pub decode: fn(&[u64]) -> Option<(K, V)>,
+}
+
+/// One memo cache under its section name, with the codec of its records
+/// when it is persisted (`None` for a cache kept in memory only).
+pub struct Section<'a, K, V> {
+    /// The section's name in stats reports and in its cache file.
+    pub name: &'static str,
+    /// The cache.
+    pub cache: &'a MemoCache<K, V>,
+    /// How its entries are written to and read from a file.
+    pub codec: Option<Codec<K, V>>,
+}
+
+/// A [`Section`] without its key and value types, so that caches of
+/// different types can be listed, counted, cleared, saved and loaded
+/// together.
+pub trait CacheSection: Send + Sync {
+    /// The section's name.
+    fn name(&self) -> &'static str;
+    /// The cache's counters under the section's name.
+    fn counters(&self) -> SectionCounters;
+    /// [`MemoCache::clear`].
+    fn clear(&self);
+    /// [`MemoCache::evict_all`].
+    fn evict_all(&self) -> usize;
+    /// Every completed entry as a record; none for a section without a
+    /// codec.
+    fn records(&self) -> Vec<Vec<u64>>;
+    /// Decodes every record or none: on success, the preload of the
+    /// decoded entries, which returns how many it inserted.
+    fn decode(&self, records: &[Vec<u64>]) -> Option<Box<dyn FnOnce() -> usize + '_>>;
+}
+
+impl<K, V> CacheSection for Section<'_, K, V>
+where
+    K: Eq + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn counters(&self) -> SectionCounters {
+        self.cache.counters(self.name)
+    }
+
+    fn clear(&self) {
+        self.cache.clear();
+    }
+
+    fn evict_all(&self) -> usize {
+        self.cache.evict_all()
+    }
+
+    fn records(&self) -> Vec<Vec<u64>> {
+        let Some(codec) = &self.codec else {
+            return Vec::new();
+        };
+        self.cache.snapshot().iter().map(|(k, v)| (codec.encode)(k, v)).collect()
+    }
+
+    fn decode(&self, records: &[Vec<u64>]) -> Option<Box<dyn FnOnce() -> usize + '_>> {
+        let codec = self.codec.as_ref()?;
+        let entries = records.iter().map(|r| (codec.decode)(r)).collect::<Option<Vec<_>>>()?;
+        Some(Box::new(move || self.cache.preload(entries)))
+    }
+}
+
+/// Writes every completed entry of `sections`, one section each in the
+/// order given, to the file at `path` stamped with `fingerprint`
+/// ([`CacheFile::save_with`]). Returns the number of entries written.
+pub fn save(path: &Path, fingerprint: &str, sections: &[&dyn CacheSection]) -> io::Result<usize> {
+    let mut file = CacheFile::new();
+    for section in sections {
+        file.push_section(section.name(), section.records());
+    }
+    file.save_with(path, fingerprint)?;
+    Ok(file.records())
+}
+
+/// Preloads `sections` from the file at `path`, all or nothing: when the
+/// file is missing, stamped with another fingerprint, damaged, or holds
+/// one record that does not decode, nothing is preloaded and 0 returned.
+/// Otherwise returns the number of entries inserted.
+pub fn load(path: &Path, fingerprint: &str, sections: &[&dyn CacheSection]) -> usize {
+    let Some(file) = CacheFile::load_with(path, fingerprint) else {
+        return 0;
+    };
+    let preloads: Option<Vec<_>> = sections
+        .iter()
+        .map(|section| section.decode(file.section(section.name())))
+        .collect();
+    preloads.map_or(0, |preloads| preloads.into_iter().map(|preload| preload()).sum())
 }
 
 /// Cursor over one record's tokens; decoding fails (`None`) on underrun,

@@ -29,7 +29,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use fusecu_dataflow::memo::{CacheStats, MemoCache, SectionCounters};
+use fusecu_dataflow::memo::{MemoCache, SectionCounters};
 use fusecu_dataflow::CostModel;
 use fusecu_ir::MatMul;
 
@@ -475,7 +475,10 @@ pub fn optimize_chain(model: &CostModel, chain: &FusedChain, bs: u64) -> Option<
 /// The memoization key of one chain optimization.
 pub type ChainFusionKey = (FusedChain, u64, CostModel);
 
-fn chain_cache() -> &'static MemoCache<ChainFusionKey, Option<FusedChainDataflow>> {
+/// The process-wide chain-optimum cache. Unlike the other memo caches it
+/// is kept in memory only: chain optima are cheap to rebuild from the
+/// persisted graph plans.
+pub fn chain_cache() -> &'static MemoCache<ChainFusionKey, Option<FusedChainDataflow>> {
     static CACHE: OnceLock<MemoCache<ChainFusionKey, Option<FusedChainDataflow>>> = OnceLock::new();
     CACHE.get_or_init(MemoCache::new)
 }
@@ -492,24 +495,12 @@ pub fn optimize_chain_cached(
     })
 }
 
-/// Hit/miss counters of the process-wide chain-optimum cache.
-pub fn chain_cache_stats() -> CacheStats {
-    chain_cache().stats()
-}
-
 /// Per-section counters of the process-wide chain-optimum cache, for
-/// machine-readable stats (`--stats-json`, the serve daemon). Unlike the
-/// other sections this cache is in-memory only (chain optima are cheap
-/// to rebuild from the persisted graph plans), so `entries` always
-/// starts at zero in a fresh process.
+/// machine-readable stats (`--stats-json`, the serve daemon). The cache
+/// is in memory only, so `entries` always starts at zero in a fresh
+/// process.
 pub fn chain_cache_counters() -> SectionCounters {
     chain_cache().counters("chains")
-}
-
-/// Drops every chain-optimum cache entry, keeping the hit/miss counters
-/// and counting the drops as evictions. Returns the number evicted.
-pub fn chain_cache_evict_all() -> usize {
-    chain_cache().evict_all()
 }
 
 /// Drops all chain-optimum cache entries and resets its counters — for

@@ -27,7 +27,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use fusecu_dataflow::memo::{CacheStats, MemoCache, SectionCounters};
+use fusecu_dataflow::memo::{MemoCache, SectionCounters};
 use fusecu_dataflow::principles::try_optimize_with;
 use fusecu_dataflow::{CostModel, Dataflow};
 use fusecu_ir::{MatMul, MmDag, NodeId, OpGraph};
@@ -522,7 +522,8 @@ pub fn plan_graph(model: &CostModel, graph: &OpGraph, bs: u64) -> GraphPlan {
 /// default [`PlannerConfig`]).
 pub type GraphKey = (MmDag, u64, CostModel);
 
-fn graph_cache() -> &'static MemoCache<GraphKey, Option<GraphPlan>> {
+/// The process-wide whole-graph plan cache.
+pub fn graph_cache() -> &'static MemoCache<GraphKey, Option<GraphPlan>> {
     static CACHE: OnceLock<MemoCache<GraphKey, Option<GraphPlan>>> = OnceLock::new();
     CACHE.get_or_init(MemoCache::new)
 }
@@ -550,32 +551,16 @@ pub fn try_plan_graph_cached(model: &CostModel, graph: &OpGraph, bs: u64) -> Opt
     try_plan_dag_cached(model, &graph.mm_dag(), bs)
 }
 
-/// Hit/miss counters of the process-wide graph-plan cache.
-pub fn graph_cache_stats() -> CacheStats {
-    graph_cache().stats()
-}
-
 /// Per-section counters of the process-wide graph-plan cache, for
 /// machine-readable stats (`--stats-json`, the serve daemon).
 pub fn graph_cache_counters() -> SectionCounters {
     graph_cache().counters("graphs")
 }
 
-/// Drops every graph-plan cache entry, keeping the hit/miss counters and
-/// counting the drops as evictions. Returns the number evicted.
-pub fn graph_cache_evict_all() -> usize {
-    graph_cache().evict_all()
-}
-
 /// Drops all graph-plan cache entries and resets its counters — for
 /// tests and the stress harness's cold-start-per-process baseline.
 pub fn graph_cache_clear() {
     graph_cache().clear();
-}
-
-/// Completed graph-plan cache entries, for the disk persistence layer.
-pub fn graph_cache_snapshot() -> Vec<(GraphKey, Option<GraphPlan>)> {
-    graph_cache().snapshot()
 }
 
 /// Preloads graph-plan entries saved by an earlier process; returns the
@@ -827,9 +812,9 @@ mod tests {
                 "bs={bs}"
             );
         }
-        let before = graph_cache_stats();
+        let before = graph_cache().stats();
         let _ = try_plan_graph_cached(&MODEL, &g, 64 * 1024);
-        let delta = graph_cache_stats().since(before);
+        let delta = graph_cache().stats().since(before);
         assert_eq!((delta.hits, delta.misses), (1, 0));
     }
 

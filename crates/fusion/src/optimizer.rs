@@ -19,7 +19,7 @@
 
 use std::sync::OnceLock;
 
-use fusecu_dataflow::memo::{CacheStats, MemoCache, SectionCounters};
+use fusecu_dataflow::memo::{MemoCache, SectionCounters};
 use fusecu_dataflow::principles::try_optimize_with;
 use fusecu_dataflow::tiling::balanced_tile_iter;
 use fusecu_dataflow::{CostModel, NraClass};
@@ -147,7 +147,8 @@ pub fn optimize_pair(model: &CostModel, pair: FusedPair, bs: u64) -> Option<Fuse
 /// answer depends on, and nothing else.
 pub type PairKey = (FusedPair, u64, CostModel);
 
-fn pair_cache() -> &'static MemoCache<PairKey, Option<FusedDataflow>> {
+/// The process-wide fused-pair cache.
+pub fn pair_cache() -> &'static MemoCache<PairKey, Option<FusedDataflow>> {
     static CACHE: OnceLock<MemoCache<PairKey, Option<FusedDataflow>>> = OnceLock::new();
     CACHE.get_or_init(MemoCache::new)
 }
@@ -165,34 +166,10 @@ pub fn pair_cache_counters() -> SectionCounters {
     pair_cache().counters("pairs")
 }
 
-/// Drops every fused-pair cache entry, keeping the hit/miss counters and
-/// counting the drops as evictions. Returns the number evicted.
-pub fn pair_cache_evict_all() -> usize {
-    pair_cache().evict_all()
-}
-
 /// Drops all fused-pair cache entries and resets its counters — for
 /// tests and the stress harness's cold-start-per-process baseline.
 pub fn pair_cache_clear() {
     pair_cache().clear();
-}
-
-/// Hit/miss counters of the process-wide fused-pair cache.
-pub fn pair_cache_stats() -> CacheStats {
-    pair_cache().stats()
-}
-
-/// Completed fused-pair cache entries, for the disk persistence layer.
-pub fn pair_cache_snapshot() -> Vec<(PairKey, Option<FusedDataflow>)> {
-    pair_cache().snapshot()
-}
-
-/// Preloads fused-pair entries saved by an earlier process; returns the
-/// number inserted. Counters are untouched.
-pub fn pair_cache_preload(
-    entries: impl IntoIterator<Item = (PairKey, Option<FusedDataflow>)>,
-) -> usize {
-    pair_cache().preload(entries)
 }
 
 /// The outcome of applying Principle 4 to one producer/consumer pair.

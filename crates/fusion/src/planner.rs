@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use fusecu_dataflow::memo::{CacheStats, MemoCache, SectionCounters};
+use fusecu_dataflow::memo::{MemoCache, SectionCounters};
 use fusecu_dataflow::principles::try_optimize_with;
 use fusecu_dataflow::{CostModel, Dataflow};
 use fusecu_ir::MmChain;
@@ -201,7 +201,8 @@ pub fn plan_chain(model: &CostModel, chain: &MmChain, bs: u64) -> ChainPlan {
 /// The memoization key of one chain-planning problem.
 pub type PlanKey = (MmChain, u64, CostModel);
 
-fn plan_cache() -> &'static MemoCache<PlanKey, Option<ChainPlan>> {
+/// The process-wide chain-plan cache.
+pub fn plan_cache() -> &'static MemoCache<PlanKey, Option<ChainPlan>> {
     static CACHE: OnceLock<MemoCache<PlanKey, Option<ChainPlan>>> = OnceLock::new();
     CACHE.get_or_init(MemoCache::new)
 }
@@ -237,40 +238,16 @@ pub fn plan_chain_cached(model: &CostModel, chain: &MmChain, bs: u64) -> ChainPl
         .unwrap_or_else(|| panic!("buffer of {bs} elements cannot hold any tile"))
 }
 
-/// Hit/miss counters of the process-wide chain-plan cache.
-pub fn plan_cache_stats() -> CacheStats {
-    plan_cache().stats()
-}
-
 /// Per-section counters of the process-wide chain-plan cache, for
 /// machine-readable stats (`--stats-json`, the serve daemon).
 pub fn plan_cache_counters() -> SectionCounters {
     plan_cache().counters("plans")
 }
 
-/// Drops every chain-plan cache entry, keeping the hit/miss counters and
-/// counting the drops as evictions. Returns the number evicted.
-pub fn plan_cache_evict_all() -> usize {
-    plan_cache().evict_all()
-}
-
 /// Drops all chain-plan cache entries and resets its counters — for
 /// tests and the stress harness's cold-start-per-process baseline.
 pub fn plan_cache_clear() {
     plan_cache().clear();
-}
-
-/// Completed chain-plan cache entries, for the disk persistence layer.
-pub fn plan_cache_snapshot() -> Vec<(PlanKey, Option<ChainPlan>)> {
-    plan_cache().snapshot()
-}
-
-/// Preloads chain-plan entries saved by an earlier process; returns the
-/// number inserted. Counters are untouched.
-pub fn plan_cache_preload(
-    entries: impl IntoIterator<Item = (PlanKey, Option<ChainPlan>)>,
-) -> usize {
-    plan_cache().preload(entries)
 }
 
 #[cfg(test)]
@@ -387,9 +364,9 @@ mod tests {
             );
         }
         // Second lookup of a cached key is a hit.
-        let before = plan_cache_stats();
+        let before = plan_cache().stats();
         let _ = try_plan_chain_cached(&MODEL, &chain, 64 * 1024);
-        let delta = plan_cache_stats().since(before);
+        let delta = plan_cache().stats().since(before);
         assert_eq!((delta.hits, delta.misses), (1, 0));
     }
 

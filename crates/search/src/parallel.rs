@@ -187,8 +187,9 @@ fn splice_segments<R>(mut segments: Vec<(usize, Vec<R>)>, len: usize) -> Vec<R> 
 /// threads, and returns the results **in item order** regardless of how
 /// the scheduler interleaved the workers.
 ///
-/// Workers claim contiguous blocks of [`claim_chunk`] indices from one
-/// atomic counter (not one item at a time) and collect each block's
+/// Workers claim contiguous blocks of indices from one atomic counter
+/// (about a quarter of a worker's fair share each, not one item at a
+/// time) and collect each block's
 /// results locally; blocks are spliced back in index order when the
 /// scope joins, so the output is bit-identical to a serial run no matter
 /// how blocks interleave — with **no per-item locks**: the only shared
@@ -238,8 +239,8 @@ where
 /// Results come back in item order, bit-identical to a serial run (which
 /// also builds `init()` exactly once, so per-worker state must not leak
 /// into scores — it is reuse, not input). A fan-out needs at least
-/// [`MIN_BATCH_PER_WORKER`] items per worker: tiny populations run on
-/// the calling thread without spawning anything.
+/// eight items per worker: tiny populations run on the calling thread
+/// without spawning anything.
 pub fn par_map_batched<T, R, S, Init, F>(par: Parallelism, items: &[T], init: Init, f: F) -> Vec<R>
 where
     T: Sync,

@@ -1,34 +1,33 @@
-//! Disk persistence for the intra-operator sweep caches.
-//!
-//! The generic file format — versioned, fingerprinted, checksummed,
-//! all-or-nothing — lives in [`fusecu_dataflow::persist`] so every layer
-//! of the stack can persist without dependency cycles; this module
-//! re-exports it (the historical `fusecu_search::persist` import paths
-//! keep working) and adds the codecs for [`DataflowCache`]'s three
-//! optimizer maps. See the format notes there for the fingerprint and
+//! Record codecs for the intra-operator sweep caches: the three optimizer
+//! maps of [`DataflowCache`](crate::cache::DataflowCache), which persist
+//! in `dataflow.cache` through the generic [`fusecu_dataflow::persist`]
+//! save and load. See the format notes there for the fingerprint and
 //! invalidation rules; the sweep caches are stamped with the base
-//! [`fingerprint`], whose behavioral cost-model digest already covers
+//! fingerprint, whose behavioral cost-model digest already covers
 //! everything a sweep entry's value depends on.
 
-use std::io;
-use std::path::Path;
-
+use fusecu_dataflow::persist::{
+    decode_dataflow, decode_mm, decode_model, encode_dataflow, encode_mm, encode_model, Codec,
+    RecordReader,
+};
 use fusecu_dataflow::Dataflow;
 
-pub use fusecu_dataflow::persist::{
-    cost_model_digest, decode_dataflow, decode_mm, decode_model, default_cache_dir,
-    encode_dataflow, encode_mm, encode_model, fingerprint, fingerprint_with, CacheFile,
-    RecordReader, FORMAT_VERSION,
-};
-
-use crate::cache::DataflowCache;
+use crate::cache::SweepKey;
 use crate::exhaustive::SearchResult;
 
-const SECTION_PRINCIPLE: &str = "principle";
-const SECTION_EXHAUSTIVE: &str = "exhaustive";
-const SECTION_GENETIC: &str = "genetic";
+/// Records of the principle map.
+pub const PRINCIPLE_CODEC: Codec<SweepKey, Option<Dataflow>> = Codec {
+    encode: encode_principle,
+    decode: decode_principle,
+};
 
-fn encode_principle(key: &super::cache::SweepKey, value: &Option<Dataflow>) -> Vec<u64> {
+/// Records of the exhaustive and genetic maps.
+pub const SEARCH_CODEC: Codec<SweepKey, Option<SearchResult>> = Codec {
+    encode: encode_search,
+    decode: decode_search,
+};
+
+fn encode_principle(key: &SweepKey, value: &Option<Dataflow>) -> Vec<u64> {
     let (mm, bs, model) = key;
     let mut out = Vec::with_capacity(15);
     encode_mm(*mm, &mut out);
@@ -44,7 +43,7 @@ fn encode_principle(key: &super::cache::SweepKey, value: &Option<Dataflow>) -> V
     out
 }
 
-fn encode_search(key: &super::cache::SweepKey, value: &Option<SearchResult>) -> Vec<u64> {
+fn encode_search(key: &SweepKey, value: &Option<SearchResult>) -> Vec<u64> {
     let (mm, bs, model) = key;
     let mut out = Vec::with_capacity(16);
     encode_mm(*mm, &mut out);
@@ -62,7 +61,7 @@ fn encode_search(key: &super::cache::SweepKey, value: &Option<SearchResult>) -> 
 }
 
 /// Decodes the shared `(mm, bs, model)` key prefix.
-fn decode_key(r: &mut RecordReader<'_>) -> Option<super::cache::SweepKey> {
+fn decode_key(r: &mut RecordReader<'_>) -> Option<SweepKey> {
     let mm = decode_mm(r)?;
     let bs = r.u64()?;
     let model = decode_model(r)?;
@@ -71,12 +70,12 @@ fn decode_key(r: &mut RecordReader<'_>) -> Option<super::cache::SweepKey> {
 
 /// Validates that a decoded dataflow is a plausible answer for its key:
 /// same shape, and within the buffer budget it claims to satisfy.
-fn valid_for_key(df: &Dataflow, key: &super::cache::SweepKey) -> bool {
+fn valid_for_key(df: &Dataflow, key: &SweepKey) -> bool {
     df.mm() == key.0 && df.buffer_elems() <= key.1
 }
 
-type PrincipleEntry = (super::cache::SweepKey, Option<Dataflow>);
-type SearchEntry = (super::cache::SweepKey, Option<SearchResult>);
+type PrincipleEntry = (SweepKey, Option<Dataflow>);
+type SearchEntry = (SweepKey, Option<SearchResult>);
 
 fn decode_principle(record: &[u64]) -> Option<PrincipleEntry> {
     let mut r = RecordReader::new(record);
@@ -111,73 +110,35 @@ fn decode_search(record: &[u64]) -> Option<SearchEntry> {
     Some((key, value))
 }
 
-/// Serializes every completed entry of `cache` to `path`. Returns the
-/// number of entries written.
-pub(crate) fn save_dataflow_cache(cache: &DataflowCache, path: &Path) -> io::Result<usize> {
-    let mut file = CacheFile::new();
-    file.push_section(
-        SECTION_PRINCIPLE,
-        cache
-            .principle
-            .snapshot()
-            .iter()
-            .map(|(k, v)| encode_principle(k, v))
-            .collect(),
-    );
-    file.push_section(
-        SECTION_EXHAUSTIVE,
-        cache
-            .exhaustive
-            .snapshot()
-            .iter()
-            .map(|(k, v)| encode_search(k, v))
-            .collect(),
-    );
-    file.push_section(
-        SECTION_GENETIC,
-        cache
-            .genetic
-            .snapshot()
-            .iter()
-            .map(|(k, v)| encode_search(k, v))
-            .collect(),
-    );
-    let n = file.records();
-    file.save(path)?;
-    Ok(n)
-}
-
-/// Preloads `cache` from `path`; all-or-nothing, 0 on any anomaly.
-pub(crate) fn load_dataflow_cache(cache: &DataflowCache, path: &Path) -> usize {
-    let Some(file) = CacheFile::load(path) else {
-        return 0;
-    };
-    let principle: Option<Vec<PrincipleEntry>> =
-        file.section(SECTION_PRINCIPLE).iter().map(|r| decode_principle(r)).collect();
-    let exhaustive: Option<Vec<SearchEntry>> =
-        file.section(SECTION_EXHAUSTIVE).iter().map(|r| decode_search(r)).collect();
-    let genetic: Option<Vec<SearchEntry>> =
-        file.section(SECTION_GENETIC).iter().map(|r| decode_search(r)).collect();
-    match (principle, exhaustive, genetic) {
-        (Some(p), Some(e), Some(g)) => {
-            cache.principle.preload(p) + cache.exhaustive.preload(e) + cache.genetic.preload(g)
-        }
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fusecu_dataflow::CostModel;
     use fusecu_ir::MatMul;
 
+    /// The record layout of one fixed entry of each section, token by
+    /// token: files written by earlier builds must keep loading.
     #[test]
-    fn reexported_format_layer_is_usable() {
-        // The historical import path must keep working for downstream
-        // crates that persisted through `fusecu_search::persist`.
-        assert!(fingerprint().contains(&format!("-f{FORMAT_VERSION}-")));
-        assert_ne!(fingerprint_with("x"), fingerprint());
+    fn record_layouts_are_pinned() {
+        use fusecu_dataflow::{LoopNest, Tiling};
+        use fusecu_ir::MmDim;
+        let model = CostModel::read_write();
+        let mm = MatMul::new(64, 32, 48);
+        let key = (mm, 4_096u64, model);
+        let df = model.dataflow(
+            mm,
+            LoopNest::new([MmDim::K, MmDim::M, MmDim::L], Tiling::new(8, 32, 6)),
+        );
+        let principle = (PRINCIPLE_CODEC.encode)(&key, &Some(df));
+        // key: m, k, l, bs, model (read-write); tag; dataflow: m, k, l,
+        // loop order (K, M, L), tiles (M, K, L).
+        assert_eq!(principle, [64, 32, 48, 4096, 1, 1, 64, 32, 48, 1, 0, 2, 8, 32, 6]);
+        assert_eq!((PRINCIPLE_CODEC.decode)(&principle), Some((key, Some(df))));
+        let searched = Some(SearchResult::new(df, 1_234));
+        let search = (SEARCH_CODEC.encode)(&key, &searched);
+        // The same, then the evaluation count.
+        assert_eq!(search, [64, 32, 48, 4096, 1, 1, 64, 32, 48, 1, 0, 2, 8, 32, 6, 1234]);
+        assert_eq!((SEARCH_CODEC.decode)(&search), Some((key, searched)));
     }
 
     #[test]

@@ -35,8 +35,9 @@ fn session_lifecycle_cold_save_and_recovery() {
     let row = compare_platforms(&zoo::blenderbot());
     assert!(row.speedup(Platform::FuseCu, Platform::Tpuv4i) > 1.0);
 
-    let saved = session.save().unwrap();
+    let saved = session.flush().unwrap();
     assert!(saved > 0, "a non-trivial run must persist entries");
+    assert_eq!(session.flush().unwrap(), 0, "nothing grew since the last flush");
     for file in ["dataflow.cache", "operators.cache", "plans.cache"] {
         let text = fs::read_to_string(dir.join(file)).unwrap();
         assert!(text.starts_with("fusecu-cache v1\n"), "{file} lacks the magic");
@@ -65,7 +66,7 @@ fn session_lifecycle_cold_save_and_recovery() {
     // A disabled session never touches the disk.
     let mut off = DiskCacheSession::disabled();
     assert_eq!(off.loaded(), 0);
-    assert_eq!(off.save().unwrap(), 0);
+    assert_eq!(off.flush().unwrap(), 0);
     assert!(off.summary().contains("disabled"));
     assert!(off.summary().contains("overall hit rate"));
 }

@@ -11,22 +11,19 @@
 
 use std::sync::atomic::Ordering;
 
-use fusecu::pipeline::DiskCacheSession;
 use fusecu::server::Server;
 use fusecu_dataflow::memo::SectionCounters;
-use fusecu_search::{DataflowCache, Parallelism};
+use fusecu_search::cache::caches;
+use fusecu_search::Parallelism;
 
 fn clear_caches() {
-    DataflowCache::global().clear();
-    fusecu::arch::op_cache_clear();
-    fusecu::fusion::optimizer::pair_cache_clear();
-    fusecu::fusion::planner::plan_cache_clear();
-    fusecu::fusion::chain::chain_cache_clear();
-    fusecu::fusion::graph_planner::graph_cache_clear();
+    for c in caches() {
+        c.section.clear();
+    }
 }
 
 fn sections() -> Vec<SectionCounters> {
-    DiskCacheSession::disabled().stats_sections()
+    caches().iter().map(|c| c.section.counters()).collect()
 }
 
 /// Distinct cacheable bodies, one of each verb per `i`, sized so debug

@@ -1,8 +1,9 @@
 //! The `serve` daemon over stdio, end to end: a real process answering a
 //! large pipelined write, then closed-loop pings, then EOF; a client that
 //! sends bytes which are not UTF-8, or a line far over the length cap;
-//! and the split between lines answered as they are read, from the reply
-//! memo or not, and lines sent to the batcher, seen through `stats`.
+//! the split between lines answered as they are read, from the reply
+//! memo or not, and lines sent to the batcher, seen through `stats`; and
+//! a daemon restarted on the cache directory of the one before it.
 //!
 //! The daemon answers a line that needs no planning as it reads it, sends
 //! only cache misses to the batcher, keeps one reply stream per client
@@ -13,7 +14,9 @@
 //! line before it, and a reply that is ready is written at once rather
 //! than held for more.
 
+use std::fs;
 use std::io::{BufRead, BufReader, Write};
+use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
@@ -45,10 +48,20 @@ impl Drop for Daemon {
     }
 }
 
-/// Starts `serve` on stdio; its reply lines arrive on the receiver.
+/// Starts `serve` on stdio without a disk cache; its reply lines arrive
+/// on the receiver.
 fn spawn_daemon() -> (Daemon, ChildStdin, Receiver<String>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .arg("--no-disk-cache")
+    spawn_daemon_at(None)
+}
+
+/// [`spawn_daemon`] with its disk cache in `cache_dir`, if given.
+fn spawn_daemon_at(cache_dir: Option<&Path>) -> (Daemon, ChildStdin, Receiver<String>) {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_serve"));
+    match cache_dir {
+        Some(dir) => command.env("FUSECU_CACHE_DIR", dir),
+        None => command.arg("--no-disk-cache"),
+    };
+    let mut child = command
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -386,4 +399,73 @@ fn two_identical_cold_lines_in_one_write_are_computed_once() {
     );
     let status = daemon.0.wait().expect("wait for serve");
     assert!(status.success(), "serve exited with {status} on EOF");
+}
+
+/// Each file of `dir` with its bytes and modification time, by name.
+fn dir_state(dir: &Path) -> Vec<(String, Vec<u8>, std::time::SystemTime)> {
+    let mut files: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let mtime = entry.metadata().unwrap().modified().unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, fs::read(entry.path()).unwrap(), mtime)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_daemon_restarted_on_its_cache_dir_rewrites_nothing() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-restart");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+
+    // The first daemon plans one query of each cacheable verb and writes
+    // them out on `shutdown`.
+    let (mut first, mut stdin, replies) = spawn_daemon_at(Some(&dir));
+    stdin
+        .write_all(
+            b"1 optimize-op 8 16 8 256 paper\n\
+              2 plan-chain 4096 paper 2 8 16 8 8 8 16\n\
+              3 plan-graph 8192 paper 3 0 8 16 8 2 1 8 8 16 2 2 8 8 8 2 2 0 1 0 2\n\
+              4 shutdown\n",
+        )
+        .unwrap();
+    let got = recv_n(&replies, 4);
+    assert!(got[..3].iter().all(|r| r.contains(" ok ")), "{got:?}");
+    assert_eq!(got[3], "4 ok bye");
+    assert!(first.0.wait().unwrap().success());
+    let written = dir_state(&dir);
+    let names: Vec<&str> = written.iter().map(|(name, ..)| name.as_str()).collect();
+    assert_eq!(names, ["dataflow.cache", "graphs.cache", "plans.cache"]);
+
+    // The second preloads them all and computes nothing new, so nothing
+    // is dirty. `stats` is made when its turn to be written comes, and a
+    // `shutdown` read before then would flush first: wait for it.
+    let (mut second, mut stdin, replies) = spawn_daemon_at(Some(&dir));
+    stdin.write_all(b"1 ping\n2 stats\n").unwrap();
+    let got = recv_n(&replies, 2);
+    assert_eq!(got[0], "1 ok pong");
+    assert!(counter(&got[1], &["cache", "preloaded"]) > 0, "{}", got[1]);
+    assert_eq!(counter(&got[1], &["cache", "dirty"]), 0, "{}", got[1]);
+    stdin.write_all(b"3 shutdown\n").unwrap();
+    assert_eq!(recv_n(&replies, 1), ["3 ok bye"]);
+    assert!(second.0.wait().unwrap().success());
+    assert!(dir_state(&dir) == written, "the restarted daemon rewrote a cache file");
+}
+
+#[test]
+fn a_snapshot_interval_of_zero_is_refused() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--no-disk-cache", "--snapshot-interval-secs", "0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run serve");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--snapshot-interval-secs"), "{stderr}");
 }
